@@ -5,7 +5,8 @@ P of degree <= k in n variables belongs iff every coefficient of
 (x_1+...+x_{n+1})^N * P_H is non-negative.  Expanding that product in the
 degree-(N+k) monomial basis gives one integer inequality row per monomial;
 the extreme rays of the resulting polyhedral cone are enumerated exactly by
-the double description method over arbitrary-precision integers.
+the double description method in int64 arithmetic, with every entry bounded
+in advance and a fallback to Python integers when the bound reaches 2**63.
 
 Rays are kept as primitive integer vectors (gcd 1, first nonzero positive),
 which makes set comparison across runs exact.
@@ -14,6 +15,7 @@ which makes set comparison across runs exact.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -24,6 +26,13 @@ from . import simplex
 from .polynomial import EXACT, FLOAT, MultiPoly, monomials_exact, monomials_upto
 
 Vec = tuple[int, ...]
+
+log = logging.getLogger(__name__)
+
+# int64 arithmetic is exact while every entry stays below this bound.
+_INT64_LIMIT = 2 ** 63
+# Entries per block of the zero-set products in the adjacency test.
+_BLOCK = 1 << 18
 
 
 class ConeNotPointedError(ValueError):
@@ -119,18 +128,19 @@ def build_inequalities(n: int, k: int, N: int) -> ConeRep:
 
 def primitive(v) -> Vec:
     """GCD-reduced integer vector with positive first nonzero entry."""
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return tuple(int(c) for c in v)
-    v = [int(c) // g for c in v]
-    for c in v:
-        if c:
-            if c < 0:
-                v = [-u for u in v]
-            break
-    return tuple(v)
+    row = np.array([[int(c) for c in v]], dtype=object)
+    return tuple(_primitive_rows(row)[0].tolist())
+
+
+def _primitive_rows(W: np.ndarray) -> np.ndarray:
+    """primitive() applied to every row of an integer array."""
+    if not W.size:
+        return W
+    g = np.gcd.reduce(W, axis=1)[:, None]
+    g[g == 0] = 1
+    W = W // g
+    lead = np.take_along_axis(W, (W != 0).argmax(axis=1)[:, None], axis=1)
+    return W * np.where(lead < 0, -1, 1)
 
 
 def _rank(rows, dim: int) -> int:
@@ -198,89 +208,112 @@ def _lcm_den(col) -> int:
     return lcm
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def enumerate_rays(cone: ConeRep) -> ConeRep:
     """Fill cone.rays with the complete set of extreme rays.
 
-    Double description with dynamic row insertion (next row = most zeros
-    against the current rays).  Adjacency of a positive/negative ray pair
-    uses the combinatorial test over the processed rows: their common active
-    set must not be contained in any third ray's active set, with a
-    popcount >= dim-2 prefilter.
+    Double description with dynamic row insertion: the next row is the
+    remaining one with the most zero slacks against the current rays, the
+    first on ties.  Rays are the rows of an integer array R and their slacks
+    against every inequality the matrix S = R @ A.T.  A positive/negative
+    pair is adjacent when the common zero set t over the processed rows has
+    |t| >= dim-2 and exactly two current rays (the pair itself) vanish on
+    all of t.  Both tests are products of 0/1 zero-set matrices, taken in
+    blocks so that peak memory does not grow with the ray count.
+
+    Arithmetic is int64 while a bound on every entry, checked with Python
+    ints before each combination step and each slack product, stays below
+    2**63; otherwise the arrays switch to Python ints (dtype=object) and
+    the same loop continues.
     """
     A = cone.ineq
     D = cone.dim
-    idx, rays = _initial_simplicial(A, D)
-    processed = list(idx)
-    dots = {r: [_dot(A[i], r) for i in processed] for r in rays}
-    remaining = [i for i in range(len(A)) if i not in set(idx)]
+    idx, init = _initial_simplicial(A, D)
+    A = np.array(A, dtype=object)
+    R = np.array(init, dtype=object)
+    widened_at = 0       # rows processed when the arrays became Python ints
+    if D * _absmax(A) * _absmax(R) < _INT64_LIMIT:
+        A, R = A.astype(np.int64), R.astype(np.int64)
+        widened_at = None
+    S = R @ A.T
+    done = np.zeros(len(A), dtype=bool)
+    done[idx] = True
+    peak = len(R)
 
-    while remaining:
-        best, best_zeros = None, -1
-        cache = {}
-        for i in remaining:
-            d = [_dot(A[i], r) for r in rays]
-            cache[i] = d
-            z = sum(1 for v in d if v == 0)
-            if z > best_zeros:
-                best_zeros, best = z, i
-        i = best
-        remaining.remove(i)
-        adot = dict(zip(rays, cache[i]))
-        plus = [r for r in rays if adot[r] > 0]
-        zero = [r for r in rays if adot[r] == 0]
-        minus = [r for r in rays if adot[r] < 0]
-        if not minus:
-            processed.append(i)
-            for r in rays:
-                dots[r].append(adot[r])
-            continue
-        zmask = {r: _zero_mask(dots[r]) for r in rays}
-        new_rays = []
-        for rp in plus:
-            zp = zmask[rp]
-            for rm in minus:
-                t = zp & zmask[rm]
-                if _popcount(t) < D - 2:
-                    continue
-                if any(r3 is not rp and r3 is not rm and zmask[r3] & t == t
-                       for r3 in rays):
-                    continue
-                w = [adot[rp] * b - adot[rm] * a for a, b in zip(rp, rm)]
-                new_rays.append(primitive(w))
-        processed.append(i)
-        kept = plus + zero
-        new_dots = {r: dots[r] + [adot[r]] for r in kept}
-        uniq = []
-        for r in new_rays:
-            if r not in new_dots:
-                new_dots[r] = [_dot(A[j], r) for j in processed]
-                uniq.append(r)
-        rays = kept + uniq
-        dots = new_dots
+    while not done.all():
+        remaining = np.flatnonzero(~done)
+        i = remaining[np.argmax((S[:, remaining] == 0).sum(axis=0))]
+        s = S[:, i]
+        minus = np.flatnonzero(s < 0)
+        if len(minus):
+            plus = np.flatnonzero(s > 0)
+            zero = np.flatnonzero(s == 0)
+            p, m = _adjacent_pairs((S[:, done] == 0).astype(np.float32),
+                                   plus, minus, D)
+            A, R, S, s = _widen(2 * _absmax(s) * _absmax(R), A, R, S, s)
+            W = _primitive_rows(s[p, None] * R[m] - s[m, None] * R[p])
+            A, R, S, W = _widen(D * _absmax(A) * _absmax(W), A, R, S, W)
+            if widened_at is None and A.dtype == object:
+                widened_at = int(done.sum())
+            # Adjacent pairs span distinct 2-faces, so no new ray repeats
+            # another or a kept one.
+            keep = np.concatenate([plus, zero])
+            R = np.concatenate([R[keep], W])
+            S = np.concatenate([S[keep], W @ A.T])
+            peak = max(peak, len(R))
+        done[i] = True
 
-    cone.rays = sorted(rays)
+    cone.rays = sorted(tuple(r) for r in R.tolist())
+    log.debug("enumerate_rays(%d,%d,%d): %d rows processed, peak %d rays, "
+              "dtype %s, widened after %s rows",
+              cone.n, cone.k, cone.N, len(A), peak, R.dtype, widened_at,
+              extra={"rows": len(A), "peak_rays": peak, "dtype": str(R.dtype),
+                     "widened_at": widened_at})
     return cone
 
 
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _absmax(a: np.ndarray) -> int:
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    return int(np.abs(a).max()) if a.size else 0
 
 
-def _zero_mask(dotlist) -> int:
-    m = 0
-    for j, d in enumerate(dotlist):
-        if d == 0:
-            m |= 1 << j
-    return m
+def _widen(bound: int, *arrays: np.ndarray):
+    """The arrays unchanged while `bound` < 2**63 (or once they hold Python
+    ints), else converted to Python ints."""
+    if bound < _INT64_LIMIT or arrays[0].dtype == object:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _adjacent_pairs(Z: np.ndarray, plus: np.ndarray, minus: np.ndarray, D: int):
+    """Indices (p, m) of the adjacent plus/minus pairs, plus-major order.
+
+    Z is the 0/1 zero-set matrix (rays x processed rows) in float32; its
+    products count common zeros exactly while there are fewer than 2**24
+    rows.
+    """
+    Zm = Z[minus]
+    ZT = Z.T
+    step = max(1, _BLOCK // len(minus))
+    cstep = max(1, _BLOCK // len(Z))
+    empty = np.zeros(0, dtype=np.intp)
+    ps, ms = [empty], [empty]
+    for lo in range(0, len(plus), step):
+        blk = plus[lo:lo + step]
+        common = Z[blk] @ Zm.T
+        bi, mj = np.nonzero(common >= D - 2)
+        size = common[bi, mj]
+        for c in range(0, len(bi), cstep):
+            b, j = bi[c:c + cstep], mj[c:c + cstep]
+            covers = (Z[blk[b]] * Zm[j]) @ ZT == size[c:c + cstep, None]
+            ok = covers.sum(axis=1) == 2
+            ps.append(blk[b[ok]])
+            ms.append(minus[j[ok]])
+    return np.concatenate(ps), np.concatenate(ms)
 
 
 def ray_is_extreme(cone: ConeRep, ray) -> bool:
     """Active inequality rows of the ray have rank dim-1 (and none negative)."""
-    vals = [_dot(row, ray) for row in cone.ineq]
+    vals = [sum(a * b for a, b in zip(row, ray)) for row in cone.ineq]
     if any(v < 0 for v in vals):
         return False
     active = [cone.ineq[j] for j, v in enumerate(vals) if v == 0]

@@ -44,7 +44,7 @@ def gradedlex_key(exp: Exponent):
 class MultiPoly:
     """Immutable sparse polynomial in ``num_vars`` variables."""
 
-    __slots__ = ("num_vars", "terms", "scalar_mode")
+    __slots__ = ("num_vars", "terms", "scalar_mode", "_eval_plan")
 
     def __init__(self, num_vars: int, terms=None, scalar_mode: str = EXACT):
         if scalar_mode not in (EXACT, FLOAT):
@@ -210,24 +210,43 @@ class MultiPoly:
             X = X[None, :]
         if X.shape[1] != self.num_vars:
             raise ValueError("point dimension mismatch")
+        maxdeg, plan = self._plan()
+        powers = []
+        for i in range(self.num_vars):
+            # powers[i][e] is x_i**e by repeated multiplication; index 0 is
+            # never read, since the plan lists only nonzero exponents
+            col = [None, X[:, i]]
+            for _ in range(1, maxdeg[i]):
+                col.append(col[-1] * X[:, i])
+            powers.append(col)
+        out = np.zeros(X.shape[0])
+        for c, factors in plan:
+            if not factors:
+                out += c
+                continue
+            (i, e), rest = factors[0], factors[1:]
+            term = c * powers[i][e]
+            for i, e in rest:
+                term *= powers[i][e]
+            out += term
+        return out[0] if single else out
+
+    def _plan(self):
+        """Per-variable max degree and the graded-lex (float coefficient,
+        ((var, exponent), ...)) terms eval_many walks; built once, since the
+        polynomial is immutable."""
+        try:
+            return self._eval_plan
+        except AttributeError:
+            pass
         maxdeg = [0] * self.num_vars
         for exp in self.terms:
             for i, e in enumerate(exp):
                 maxdeg[i] = max(maxdeg[i], e)
-        powers = []
-        for i in range(self.num_vars):
-            col = [np.ones(X.shape[0])]
-            for _ in range(maxdeg[i]):
-                col.append(col[-1] * X[:, i])
-            powers.append(col)
-        out = np.zeros(X.shape[0])
-        for exp, c in self.sorted_terms():
-            term = np.full(X.shape[0], float(c))
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * powers[i][e]
-            out += term
-        return out[0] if single else out
+        plan = tuple((float(c), tuple((i, e) for i, e in enumerate(exp) if e))
+                     for exp, c in self.sorted_terms())
+        object.__setattr__(self, "_eval_plan", (maxdeg, plan))
+        return self._eval_plan
 
     # -- calculus / structure ---------------------------------------------
 

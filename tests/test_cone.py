@@ -1,5 +1,8 @@
+import hashlib
 import itertools
-from fractions import Fraction
+import json
+import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,39 +13,44 @@ from simplexfold.cone import (ConeNotPointedError, ConeRep, build_inequalities,
                               scale_generators)
 
 
+def _null_vector(rows, dim):
+    """Integer null vector of `rows` when their rank is dim-1, else None.
+
+    Fraction-free Gauss-Jordan elimination, each row kept gcd-reduced.
+    """
+    M = [list(r) for r in rows]
+    pivots = []
+    for c in range(dim):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                a, b = M[r][c], M[i][c]
+                row = [a * x - b * y for x, y in zip(M[i], M[r])]
+                g = math.gcd(*row) or 1
+                M[i] = [x // g for x in row]
+        pivots.append(c)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    scale = math.lcm(*(M[i][c] for i, c in enumerate(pivots)))
+    v = [0] * dim
+    v[free] = scale
+    for i, c in enumerate(pivots):
+        v[c] = -M[i][free] * scale // M[i][c]
+    return v
+
+
 def brute_force_rays(A, dim):
-    """Oracle: extreme rays from every (dim-1)-subset of rows with a rank test."""
-    from simplexfold.cone import _rank
+    """Oracle: extreme rays from every (dim-1)-subset of rows of rank dim-1."""
     rays = set()
     for rows in itertools.combinations(A, dim - 1):
-        if _rank(list(rows), dim) != dim - 1:
+        vec = _null_vector(rows, dim)
+        if vec is None:
             continue
-        # one-dimensional null space via Fraction elimination
-        M = [[Fraction(c) for c in r] for r in rows]
-        # reduce to row echelon and back-substitute a null vector
-        piv_cols = []
-        r = 0
-        for c in range(dim):
-            piv = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
-            if piv is None:
-                continue
-            M[r], M[piv] = M[piv], M[r]
-            M[r] = [v / M[r][c] for v in M[r]]
-            for i in range(len(M)):
-                if i != r and M[i][c] != 0:
-                    f = M[i][c]
-                    M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-            piv_cols.append(c)
-            r += 1
-        free = [c for c in range(dim) if c not in piv_cols][0]
-        v = [Fraction(0)] * dim
-        v[free] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            v[c] = -M[i][free]
-        den = 1
-        for x in v:
-            den = den * x.denominator // np.gcd(den, x.denominator)
-        vec = [int(x * den) for x in v]
         for sign in (1, -1):
             cand = tuple(sign * x for x in vec)
             if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in A):
@@ -102,6 +110,43 @@ class TestEnumerateRays:
     def test_matches_brute_force_interval(self, k, N):
         rep = enumerate_rays(build_inequalities(1, k, N))
         assert set(rep.rays) == brute_force_rays(rep.ineq, rep.dim)
+
+    @pytest.mark.parametrize("k,N", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
+    def test_matches_brute_force_triangle(self, k, N):
+        rep = enumerate_rays(build_inequalities(2, k, N))
+        assert set(rep.rays) == brute_force_rays(rep.ineq, rep.dim)
+
+    def test_66_rows_pinned_hash(self):
+        # 66 processed rows do not fit one 64-bit zero-set word; the digest
+        # is the sha256 of the sorted ray list pinned in perfbench
+        rep = enumerate_rays(build_inequalities(2, 2, 8))
+        rows = json.dumps([list(r) for r in rep.rays], separators=(",", ":"))
+        assert len(rep.ineq) == 66 and len(rep.rays) == 900
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "57fdfae1eb1c3ed58ead58f704d485bd0e31c87023108f61cbf5bb9300ef6054")
+
+    @pytest.mark.parametrize("shift,widened_at", [(60, 0), (55, 7)])
+    def test_overflow_guard_python_ints(self, shift, widened_at, caplog):
+        # A positive row scaling leaves the cone unchanged but pushes the
+        # int64 bound past 2**63: at the start for 2**60, mid-run for 2**55.
+        plain = enumerate_rays(build_inequalities(2, 2, 3)).rays
+        rep = build_inequalities(2, 2, 3)
+        rep.ineq[0] = tuple(c << shift for c in rep.ineq[0])
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
+            enumerate_rays(rep)
+        assert rep.rays == plain
+        record, = caplog.records
+        assert record.dtype == "object"
+        assert record.widened_at == widened_at
+
+    def test_debug_record(self, caplog, capsys):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
+            enumerate_rays(build_inequalities(2, 2, 3))
+        record, = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert (record.rows, record.peak_rays, record.dtype) == (21, 75, "int64")
+        assert record.widened_at is None
+        assert capsys.readouterr() == ("", "")
 
     def test_all_rays_extreme(self):
         rep = enumerate_rays(build_inequalities(2, 2, 2))
