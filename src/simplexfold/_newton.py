@@ -15,18 +15,16 @@ from .maps import SimplexMap
 
 
 class MapSystem:
-    """Float components and exact symbolic partials of a map, batch-callable."""
+    """Float values and exact symbolic partials of a map, batch-callable."""
 
     def __init__(self, f: SimplexMap):
         self.n = f.n
-        self.comps = [p.to_float() for p in f.P]
-        self.parts = [[p.partial(j) for j in range(f.n)] for p in self.comps]
+        self.coeffs = f.coefficients()
+        self.parts = [[p.partial(j) for j in range(f.n)]
+                      for p in (q.to_float() for q in f.P)]
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((X.shape[0], self.n))
-        for i, p in enumerate(self.comps):
-            out[:, i] = p.eval_many(X)
-        return out
+        return self.coeffs.values(X)
 
     def jacobians(self, X: np.ndarray) -> np.ndarray:
         J = np.empty((X.shape[0], self.n, self.n))

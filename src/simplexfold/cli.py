@@ -24,10 +24,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import secrets
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +76,6 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
 
 def _dump_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
-
-
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return int(args.jobs)
-    return int(os.environ.get("SIMPLEXFOLD_JOBS", "1"))
 
 
 # -- tables ---------------------------------------------------------------------
@@ -222,21 +214,10 @@ def cmd_verify_fold(args) -> int:
 # -- fig6: deformation scan --------------------------------------------------------
 
 
-def _scan_worker(task):
-    f_star_json, g_json, index, trials, window, burn_in, master_seed = task
-    f_star = SimplexMap.from_json(f_star_json)
-    g = SimplexMap.from_json(g_json)
-    row = dynamics.scan_one(f_star, g, index, trials, window=window,
-                            burn_in=burn_in, master_seed=master_seed)
-    return (row.index, row.l2_distance, row.min_abs_eig, row.verdict,
-            row.n_fixed_points, row.per_point_min_eig, row.error)
-
-
 def cmd_fig6(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    jobs = _jobs(args)
 
     if args.cone and Path(args.cone).exists():
         rep = cone.load_json(args.cone)
@@ -249,21 +230,11 @@ def cmd_fig6(args) -> int:
     cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
 
     f_star = folding.catalog("tri:f2")
-    f_star_json = f_star.to_json()
-    tasks = [(f_star_json, f_star.to_float().to_json(), 0, args.trials,
-              args.window, args.burn_in, seed)]
+    samples = [f_star.to_float()]
     for i in range(1, args.count + 1):
-        rng = sampler.make_rng(seed, i)
-        g = sampler.deform(f_star, cfg, rng)
-        tasks.append((f_star_json, g.to_json(), i, args.trials,
-                      args.window, args.burn_in, seed))
-
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            rows = pool.map(_scan_worker, tasks, chunksize=4)
-    else:
-        rows = [_scan_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
+        samples.append(sampler.deform(f_star, cfg, sampler.make_rng(seed, i)))
+    rows = dynamics.deform_scan(f_star, samples, args.trials, window=args.window,
+                                burn_in=args.burn_in, master_seed=seed)
 
     csv_path = out_dir / "fig6.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -273,12 +244,13 @@ def cmd_fig6(args) -> int:
         # can be plotted without rerunning the scan
         w.writerow(["index", "l2_distance", "min_abs_eig", "verdict",
                     "n_fixed_points", "per_point_min_eig", "error"])
-        for index, dist, eig, verdict, nfp, per_point, error in rows:
-            w.writerow([index, _fmt(dist), _fmt(eig), verdict, nfp,
-                        ";".join(_fmt(v) for v in per_point), error or ""])
+        for r in rows:
+            w.writerow([r.index, _fmt(r.l2_distance), _fmt(r.min_abs_eig), r.verdict,
+                        r.n_fixed_points, ";".join(_fmt(v) for v in r.per_point_min_eig),
+                        r.error or ""])
     _write_manifest(out_dir, "fig6", args, seed, [csv_path])
-    n_green = sum(1 for r in rows if r[3] == "green")
-    n_red = sum(1 for r in rows if r[3] == "red")
+    n_green = sum(1 for r in rows if r.verdict == "green")
+    n_red = sum(1 for r in rows if r.verdict == "red")
     print(f"fig6: {len(rows)} rows ({n_green} green / {n_red} red) -> {csv_path}")
     return 0
 
@@ -432,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--window", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int,
+                   help="accepted and recorded in the manifest, but has no effect: "
+                        "the scan runs as one lockstep batch in one process")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_fig6)
 

@@ -8,8 +8,8 @@ the extreme rays of the resulting polyhedral cone are enumerated exactly by
 the double description method in int64 arithmetic, with every entry bounded
 in advance and a fallback to Python integers when the bound reaches 2**63.
 
-Rays are kept as primitive integer vectors (gcd 1, first nonzero positive),
-which makes set comparison across runs exact.
+Rays are kept as primitive integer vectors (gcd 1, pointing into the
+cone), which makes set comparison across runs exact.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def build_inequalities(n: int, k: int, N: int) -> ConeRep:
 
 
 def primitive(v) -> Vec:
-    """GCD-reduced integer vector with positive first nonzero entry."""
+    """GCD-reduced integer vector; the sign is kept, so a ray stays a ray."""
     row = np.array([[int(c) for c in v]], dtype=object)
     return tuple(_primitive_rows(row)[0].tolist())
 
@@ -138,9 +138,7 @@ def _primitive_rows(W: np.ndarray) -> np.ndarray:
         return W
     g = np.gcd.reduce(W, axis=1)[:, None]
     g[g == 0] = 1
-    W = W // g
-    lead = np.take_along_axis(W, (W != 0).argmax(axis=1)[:, None], axis=1)
-    return W * np.where(lead < 0, -1, 1)
+    return W // g
 
 
 def _rank(rows, dim: int) -> int:
@@ -173,17 +171,15 @@ def _initial_simplicial(A: list[Vec], dim: int):
     if len(chosen) < dim:
         raise ConeNotPointedError(
             f"inequality matrix has rank {len(chosen)} < {dim}; cone contains a line")
-    # Gauss-Jordan inverse over Fractions, then clear denominators per column
+    # Gauss-Jordan inverse over Fractions; column j of the inverse meets
+    # every chosen row with slack 0 except row j, where the slack is 1
     M = [[Fraction(c) for c in row] for row in chosen]
     inv = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    det = Fraction(1)
     for c in range(dim):
         piv = next(i for i in range(c, dim) if M[i][c] != 0)
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             inv[c], inv[piv] = inv[piv], inv[c]
-            det = -det
-        det *= M[c][c]
         f = M[c][c]
         M[c] = [a / f for a in M[c]]
         inv[c] = [a / f for a in inv[c]]
@@ -192,10 +188,9 @@ def _initial_simplicial(A: list[Vec], dim: int):
                 f = M[i][c]
                 M[i] = [a - f * b for a, b in zip(M[i], M[c])]
                 inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
-    sign = 1 if det > 0 else -1
     rays = []
     for j in range(dim):
-        col = [sign * inv[i][j] for i in range(dim)]
+        col = [inv[i][j] for i in range(dim)]
         den = _lcm_den(col)
         rays.append(primitive([int(c * den) for c in col]))
     return idx, rays

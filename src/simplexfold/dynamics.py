@@ -7,24 +7,33 @@ convention of the deformation experiments: an orbit is "red" when it
 converges to a fixed point or revisits itself within the detection window,
 and "green" otherwise.  Cycle detection is Brent-style (power-of-two
 anchors, O(1) memory) with an l-infinity tolerance.
+
+The deformation scan runs in one process: after each map's distance and
+fixed points, the orbits of all its maps advance as one lockstep batch,
+each row through its own map's coefficients (maps.MapCoefficients), and a
+map that leaves the simplex fails only its own row.
 """
 
 from __future__ import annotations
 
 import cmath
+import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import _newton, folding, simplex
-from .maps import SimplexMap
+from .maps import APPLY_TOL, MapCoefficients, MapImageError, SimplexMap, image_error
 from .polynomial import EXACT, MultiPoly
 
 CONVERGED_FIXED = "converged_fixed"
 PERIODIC = "periodic"
 NONPERIODIC = "nonperiodic_within_window"
+FAILED = "failed"
+
+log = logging.getLogger(__name__)
 
 _CLASS_BAND = 1e-9
 
@@ -163,6 +172,8 @@ class OrbitVerdict:
     iterations_used: int
     period: int | None = None
     witness: tuple[float, ...] | None = None
+    clamped: bool = False     # some image of the orbit was clamped onto the simplex
+    error: str | None = None  # why the row's map failed (kind FAILED only)
 
 
 def _minimal_period(f: SimplexMap, x: np.ndarray, lam: int, tol: float):
@@ -186,65 +197,111 @@ def _minimal_period(f: SimplexMap, x: np.ndarray, lam: int, tol: float):
     return None
 
 
-def classify_orbits(f: SimplexMap, x0s, window: int = 10_000,
-                    tol: float = 1e-10, burn_in: int = 1000) -> list[OrbitVerdict]:
-    """Brent cycle detection for a batch of orbits advanced in lockstep."""
+def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
+                    burn_in: int = 1000, *, map_index=None) -> list[OrbitVerdict]:
+    """Brent cycle detection for a batch of orbits advanced in lockstep.
+
+    f is one map for every row of x0s, or a sequence of maps with
+    map_index[r] the index of row r's map.  Every row takes the same steps
+    it would take in a batch of its map alone.  A map whose image leaves the
+    simplex (in burn-in, in the window or in the period check) retires its
+    own rows only: each gets a FAILED verdict whose error is the
+    MapImageError text of the map's first bad open row.
+    """
     X = np.atleast_2d(np.asarray(x0s, dtype=float)).copy()
     m = X.shape[0]
-    for _ in range(burn_in):
-        X = f.apply_many(X)
-    anchors = X.copy()
-    power = np.ones(m, dtype=np.int64)
-    lam = np.zeros(m, dtype=np.int64)
-    prev_step = np.full(m, np.inf)
+    if m == 0:
+        return []
+    fs = [f] if isinstance(f, SimplexMap) else list(f)
+    owner = (np.zeros(m, dtype=np.intp) if map_index is None
+             else np.asarray(map_index, dtype=np.intp))
+    coeffs = MapCoefficients(fs, owner)
+    failed = np.zeros(len(fs), dtype=bool)
+    failures: dict[int, tuple[int, str]] = {}
+    ever_clamped = np.zeros(m, dtype=bool)
     verdicts: list[OrbitVerdict | None] = [None] * m
     open_rows = np.arange(m)
 
-    for t in range(1, window + 1):
-        Xn = f.apply_many(X)
+    def fail(k: int, it: int, exc: MapImageError) -> None:
+        if not failed[k]:
+            failed[k] = True
+            failures[k] = (it, f"{type(exc).__name__}: {exc}")
+
+    def advance(X, it):
+        Y, bad, clamped = coeffs.apply(X)
+        ever_clamped[open_rows[clamped]] = True
+        for r in np.flatnonzero(bad):
+            k = owner[open_rows[r]]
+            fail(k, it, image_error(fs[k], X[r], Y[r], APPLY_TOL))
+        return Y
+
+    def finish(r: int, kind: str, it: int, period=None) -> None:
+        row = open_rows[r]
+        verdicts[row] = OrbitVerdict(kind, it, period=period, witness=tuple(X[r]),
+                                     clamped=bool(ever_clamped[row]))
+
+    for s in range(1, burn_in + 1):
+        X = advance(X, s)
+        dead = failed[owner[open_rows]]
+        if dead.any():
+            keep = np.flatnonzero(~dead)
+            X, open_rows, coeffs = X[keep], open_rows[keep], coeffs.take(keep)
+            if open_rows.size == 0:
+                break
+    anchors = X.copy()
+    power = np.ones(open_rows.size, dtype=np.int64)
+    lam = np.zeros(open_rows.size, dtype=np.int64)
+    prev_step = np.full(open_rows.size, np.inf)
+
+    for t in range(1, window + 1 if open_rows.size else 1):
+        Xn = advance(X, burn_in + t)
         step = np.abs(Xn - X).max(axis=1)
         lam += 1
         danchor = np.abs(Xn - anchors).max(axis=1)
         X = Xn
-        finished = []
+        done = failed[owner[open_rows]]
         # converged: two consecutive sub-tol steps that are not growing,
         # so a slow escape from a repelling point does not count
-        conv = (step < tol) & (prev_step < tol) & (step <= prev_step)
+        conv = (step < tol) & (prev_step < tol) & (step <= prev_step) & ~done
         prev_step = step
         for r in np.flatnonzero(conv):
-            verdicts[open_rows[r]] = OrbitVerdict(
-                CONVERGED_FIXED, burn_in + t, witness=tuple(X[r]))
-            finished.append(r)
+            finish(r, CONVERGED_FIXED, burn_in + t)
+            done[r] = True
         for r in np.flatnonzero(danchor < tol):
-            if verdicts[open_rows[r]] is not None:
+            k = owner[open_rows[r]]
+            if done[r] or failed[k]:
                 continue
-            p = _minimal_period(f, X[r], int(lam[r]), tol)
+            try:
+                p = _minimal_period(fs[k], X[r], int(lam[r]), tol)
+            except MapImageError as exc:
+                fail(k, burn_in + t, exc)
+                continue
             if p is None:
                 continue
-            if p == 1:  # a persistent period-1 cycle is a fixed point
-                verdicts[open_rows[r]] = OrbitVerdict(
-                    CONVERGED_FIXED, burn_in + t, witness=tuple(X[r]))
-            else:
-                verdicts[open_rows[r]] = OrbitVerdict(
-                    PERIODIC, burn_in + t, period=p, witness=tuple(X[r]))
-            finished.append(r)
-        if finished:
-            keep = np.setdiff1d(np.arange(X.shape[0]), np.array(finished))
-            X, anchors = X[keep], anchors[keep]
+            # a persistent period-1 cycle is a fixed point
+            finish(r, CONVERGED_FIXED if p == 1 else PERIODIC, burn_in + t,
+                   period=None if p == 1 else p)
+            done[r] = True
+        done |= failed[owner[open_rows]]
+        if done.any():
+            keep = np.flatnonzero(~done)
+            X, anchors, coeffs = X[keep], anchors[keep], coeffs.take(keep)
             power, lam = power[keep], lam[keep]
             prev_step = prev_step[keep]
             open_rows = open_rows[keep]
-            if X.shape[0] == 0:
+            if open_rows.size == 0:
                 break
         refresh = lam == power
         if refresh.any():
             anchors[refresh] = X[refresh]
             power[refresh] *= 2
             lam[refresh] = 0
-    for r, row in enumerate(open_rows):
-        if verdicts[row] is None:
-            verdicts[row] = OrbitVerdict(NONPERIODIC, burn_in + window,
-                                         witness=tuple(X[r]))
+    for r in range(open_rows.size):
+        finish(r, NONPERIODIC, burn_in + window)
+    for row in np.flatnonzero(failed[owner]):
+        it, error = failures[owner[row]]
+        verdicts[row] = OrbitVerdict(FAILED, it, clamped=bool(ever_clamped[row]),
+                                     error=error)
     return verdicts
 
 
@@ -267,32 +324,81 @@ class ScanRow:
     error: str | None = None
 
 
-def scan_one(f_star: SimplexMap, g: SimplexMap, index: int,
-             trials_per_map: int = 20, *, window: int = 10_000,
-             burn_in: int = 1000, tol: float = 1e-10, master_seed: int = 0,
-             lattice_target: int = 200, n_random: int = 100) -> ScanRow:
-    """One row of the deformation scan; failures are recorded, not raised."""
-    try:
-        dist = simplex.l2_distance(f_star, g)
-        report = find_fixed_points(g, lattice_target=lattice_target,
-                                   n_random=n_random, seed=master_seed ^ index)
+def _failed_row(index: int, error: str) -> ScanRow:
+    return ScanRow(index, float("nan"), float("nan"), "failed", 0, error=error)
+
+
+def _gradedlex(f: SimplexMap) -> SimplexMap:
+    """f with every component's terms stored in graded-lex order."""
+    return SimplexMap(f.n, f.k, [MultiPoly(f.n, dict(p.sorted_terms()), p.scalar_mode)
+                                 for p in f.P], f.label)
+
+
+def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20, *,
+                window: int = 10_000, burn_in: int = 1000, tol: float = 1e-10,
+                master_seed: int = 0, lattice_target: int = 200,
+                n_random: int = 100) -> list[ScanRow]:
+    """Distance / spectrum / orbit-verdict table for a batch of deformations.
+
+    Row i scans samples[i]: its L2 distance to f_star, its fixed points
+    (Newton seeded from master_seed ^ i) and the verdicts of trials_per_map
+    uniform starts drawn from Philox(key=[master_seed, i]); the row is
+    green when every orbit stays nonperiodic through the window.  The
+    orbits of every map are classified in one lockstep batch.  A failure
+    (an exception in the distance or the fixed points, or an orbit leaving
+    the simplex) fails only its own row, with the reason in `error`.  One
+    DEBUG record on ``simplexfold.dynamics`` gives the rows by verdict, the
+    failed rows by exception class, the clamped orbit rows and the lockstep
+    steps run.
+    """
+    # l2_distance squares float polynomials, and MultiPoly.__mul__ sums in
+    # the insertion order of the terms dict, so a distance depends in its
+    # last digits on how each map was built.  Graded-lex order, the order
+    # of map JSON, makes it a function of the coefficients alone.
+    f_star = _gradedlex(f_star)
+    samples = list(samples)
+    rows: list[ScanRow | None] = [None] * len(samples)
+    scanned, starts = [], []
+    for index, g in enumerate(samples):
+        g = _gradedlex(g)
+        try:
+            dist = simplex.l2_distance(f_star, g)
+            report = find_fixed_points(g, lattice_target=lattice_target,
+                                       n_random=n_random, seed=master_seed ^ index)
+        except Exception as exc:  # row-level containment per the scan contract
+            rows[index] = _failed_row(index, f"{type(exc).__name__}: {exc}")
+            continue
         rng = np.random.Generator(np.random.Philox(key=[master_seed, index]))
-        x0s = simplex.sample_uniform(g.n, trials_per_map, rng)
-        kinds = classify_orbits(g, x0s, window=window, tol=tol, burn_in=burn_in)
+        starts.append(simplex.sample_uniform(g.n, trials_per_map, rng))
+        scanned.append((index, g, dist, report))
+
+    verdicts = []
+    if scanned:
+        verdicts = classify_orbits(
+            [g for _, g, _, _ in scanned], np.vstack(starts), window=window,
+            tol=tol, burn_in=burn_in,
+            map_index=np.repeat(np.arange(len(scanned)), trials_per_map))
+    for k, (index, g, dist, report) in enumerate(scanned):
+        kinds = verdicts[k * trials_per_map:(k + 1) * trials_per_map]
+        error = next((v.error for v in kinds if v.kind == FAILED), None)
+        if error is not None:
+            rows[index] = _failed_row(index, error)
+            continue
         green = all(v.kind == NONPERIODIC for v in kinds)
-        return ScanRow(index, dist, report.min_abs_eig(),
-                       "green" if green else "red", len(report),
-                       tuple(p.min_abs_eig() for p in report.points))
-    except Exception as exc:  # row-level containment per the scan contract
-        return ScanRow(index, float("nan"), float("nan"), "failed", 0,
-                       error=f"{type(exc).__name__}: {exc}")
+        rows[index] = ScanRow(index, dist, report.min_abs_eig(),
+                              "green" if green else "red", len(report),
+                              tuple(p.min_abs_eig() for p in report.points))
 
-
-def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20,
-                **kwargs) -> list[ScanRow]:
-    """Distance / spectrum / orbit-verdict table for a batch of deformations."""
-    return [scan_one(f_star, g, i, trials_per_map, **kwargs)
-            for i, g in enumerate(samples)]
+    by_verdict = Counter(r.verdict for r in rows)
+    by_error = Counter(r.error.split(":", 1)[0] for r in rows if r.error)
+    clamped_rows = sum(v.clamped for v in verdicts)
+    steps = max((v.iterations_used for v in verdicts), default=0)
+    log.debug("deform_scan: %d rows %s, failures %s, %d clamped orbit rows, "
+              "%d lockstep steps", len(rows), dict(by_verdict), dict(by_error),
+              clamped_rows, steps,
+              extra={"verdicts": dict(by_verdict), "failures": dict(by_error),
+                     "clamped_rows": clamped_rows, "lockstep_steps": steps})
+    return rows
 
 
 # -- fixation ------------------------------------------------------------------------
@@ -394,5 +500,9 @@ def invariant_measure_test(d: int, sample_count: int = 100_000,
     u = rng.random(sample_count)
     x = (1.0 - np.cos(math.pi * u)) / 2.0
     fd = folding.catalog(f"cheb:{d}").to_float()
-    pushed = fd.P[0].eval_many(x[:, None])
-    return float(stats.kstest(pushed, arcsine_cdf).statistic)
+    pushed = np.sort(fd.P[0].eval_many(x[:, None]))
+    # one-sample KS statistic: max over i of i/n - F(x_(i)) and F(x_(i)) - (i-1)/n
+    cdf = arcsine_cdf(pushed)
+    n = pushed.size
+    i = np.arange(1, n + 1)
+    return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import positivity, simplex
-from .polynomial import EXACT, FLOAT, MultiPoly
+from .polynomial import EXACT, FLOAT, MultiPoly, eval_terms, gradedlex_key
 
 APPLY_TOL = 1e-9
 
@@ -25,7 +25,7 @@ class MapImageError(ValueError):
 
 
 class SimplexMap:
-    __slots__ = ("n", "k", "P", "label")
+    __slots__ = ("n", "k", "P", "label", "_coeffs")
 
     def __init__(self, n: int, k: int, P: list[MultiPoly], label: str = ""):
         P = list(P)
@@ -79,6 +79,15 @@ class SimplexMap:
 
     # -- dynamics-facing evaluation -----------------------------------------
 
+    def coefficients(self) -> "MapCoefficients":
+        """The map's evaluation table, built on first use and then cached."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            pass
+        object.__setattr__(self, "_coeffs", MapCoefficients([self]))
+        return self._coeffs
+
     def apply_many(self, X: np.ndarray, tol: float = APPLY_TOL,
                    clamp_log: list | None = None) -> np.ndarray:
         """Apply to each row of X with boundary clamping.
@@ -91,26 +100,12 @@ class SimplexMap:
         single = X.ndim == 1
         if single:
             X = X[None, :]
-        out = np.empty_like(X)
-        for i, p in enumerate(self.P):
-            out[:, i] = p.eval_many(X)
-        low = out.min(axis=1)
-        sums = out.sum(axis=1)
-        bad = (low < -tol) | (sums > 1 + tol)
+        out, bad, clamped = self.coefficients().apply(X, tol)
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
-            raise MapImageError(
-                f"image {out[j]} of {X[j]} outside simplex beyond tol={tol} "
-                f"(map {self.label or 'unlabeled'})")
-        clamped = (low < 0) | (sums > 1)
-        if clamped.any():
-            if clamp_log is not None:
-                clamp_log.extend(np.flatnonzero(clamped).tolist())
-            out = np.maximum(out, 0.0)
-            sums = out.sum(axis=1)
-            over = sums > 1
-            if over.any():
-                out[over] /= sums[over, None]
+            raise image_error(self, X[j], out[j], tol)
+        if clamp_log is not None:
+            clamp_log.extend(np.flatnonzero(clamped).tolist())
         return out[0] if single else out
 
     def apply(self, x, tol: float = APPLY_TOL, clamp_log: list | None = None) -> np.ndarray:
@@ -141,6 +136,90 @@ class SimplexMap:
 
     def __repr__(self):
         return f"SimplexMap(n={self.n}, k={self.k}, label={self.label!r})"
+
+
+def image_error(f: SimplexMap, x, image, tol: float) -> MapImageError:
+    """The error for an image of x under f that left the simplex beyond tol."""
+    return MapImageError(f"image {image} of {x} outside simplex beyond tol={tol} "
+                         f"(map {f.label or 'unlabeled'})")
+
+
+class MapCoefficients:
+    """The package's one routine for applying polynomial maps to points.
+
+    Holds the coefficients of one map, or of several maps with one map per
+    point row, over their graded-lex monomials, and evaluates them with
+    polynomial.eval_terms, the routine behind MultiPoly.eval_many.  So a
+    one-map table gives eval_many's values bit for bit, and a row of a
+    many-map table differs from its map's own table at most in the sign of
+    a zero (a monomial that only other maps carry adds 0 to it).
+    """
+
+    __slots__ = ("n", "maxdeg", "terms")
+
+    def __init__(self, fs, rows=None):
+        """fs: maps on one simplex.  rows: for each point row, the index of
+        its map in fs; None applies the single map in fs to every row."""
+        n = fs[0].n
+        if any(f.n != n for f in fs):
+            raise ValueError("maps live on different simplices")
+        if rows is None and len(fs) != 1:
+            raise ValueError("several maps need a map index per row")
+        monos = sorted({e for f in fs for p in f.P for e in p.terms},
+                       key=gradedlex_key)
+        at = {e: j for j, e in enumerate(monos)}
+        C = np.zeros((n, len(monos), len(fs)))
+        for m, f in enumerate(fs):
+            for i, p in enumerate(f.P):
+                for e, c in p.terms.items():
+                    C[i, at[e], m] = float(c)
+        self.n = n
+        self.maxdeg = [max((e[v] for e in monos), default=0) for v in range(n)]
+        # only monomials with a nonzero coefficient in some map are evaluated
+        self.terms = tuple(
+            tuple((float(C[i, j, 0]) if rows is None else C[i, j, rows],
+                   tuple((v, e) for v, e in enumerate(monos[j]) if e))
+                  for j in np.flatnonzero(C[i].any(axis=1)))
+            for i in range(n))
+
+    def take(self, keep) -> "MapCoefficients":
+        """The per-row table restricted to the rows `keep`."""
+        out = object.__new__(MapCoefficients)
+        out.n, out.maxdeg = self.n, self.maxdeg
+        out.terms = tuple(tuple((c[keep], fac) for c, fac in terms)
+                          for terms in self.terms)
+        return out
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Unclamped component values at the rows of X, shape (rows, n)."""
+        if X.shape[1] != self.n:
+            raise ValueError("point dimension mismatch")
+        out = np.empty((X.shape[0], self.n))
+        for i, col in enumerate(eval_terms(X, self.maxdeg, self.terms)):
+            out[:, i] = col
+        return out
+
+    def apply(self, X: np.ndarray, tol: float = APPLY_TOL):
+        """Images of the rows of X, clamped onto the simplex.
+
+        Returns (images, bad, clamped).  A row is bad when its image has a
+        component below -tol or a sum above 1+tol; bad rows are returned
+        unclamped.  Every other row with a negative component or a sum above
+        1 has its negative components set to 0 and is then renormalized if
+        its sum exceeds 1; those rows are flagged in clamped.
+        """
+        out = self.values(X)
+        low = out.min(axis=1)
+        sums = out.sum(axis=1)
+        bad = (low < -tol) | (sums > 1 + tol)
+        clamped = ((low < 0) | (sums > 1)) & ~bad
+        if clamped.any():
+            fix = np.maximum(out[clamped], 0.0)
+            s = fix.sum(axis=1)
+            over = s > 1
+            fix[over] /= s[over, None]
+            out[clamped] = fix
+        return out, bad, clamped
 
 
 class MembershipReport:

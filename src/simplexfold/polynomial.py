@@ -211,24 +211,7 @@ class MultiPoly:
         if X.shape[1] != self.num_vars:
             raise ValueError("point dimension mismatch")
         maxdeg, plan = self._plan()
-        powers = []
-        for i in range(self.num_vars):
-            # powers[i][e] is x_i**e by repeated multiplication; index 0 is
-            # never read, since the plan lists only nonzero exponents
-            col = [None, X[:, i]]
-            for _ in range(1, maxdeg[i]):
-                col.append(col[-1] * X[:, i])
-            powers.append(col)
-        out = np.zeros(X.shape[0])
-        for c, factors in plan:
-            if not factors:
-                out += c
-                continue
-            (i, e), rest = factors[0], factors[1:]
-            term = c * powers[i][e]
-            for i, e in rest:
-                term *= powers[i][e]
-            out += term
+        out = eval_terms(X, maxdeg, [plan])[0]
         return out[0] if single else out
 
     def _plan(self):
@@ -353,6 +336,41 @@ class HomogPoly(MultiPoly):
 
 
 # -- module-level operations ------------------------------------------------
+
+
+def eval_terms(X: np.ndarray, maxdeg, outputs) -> list[np.ndarray]:
+    """Sums of terms c * prod(x_v**e) at the rows of X, one array per output.
+
+    maxdeg[v] bounds the exponent of variable v; each output is a sequence
+    of terms (c, ((v, e), ...)) listing nonzero exponents, with c a float or
+    an array holding one coefficient per row.  Powers come from repeated
+    multiplication, each term is c * x_v**e times its other factors in
+    place, and terms add into zeros in the order given.  These are
+    elementwise operations only, so a row's value never depends on the
+    other rows.
+    """
+    powers = []
+    for v, d in enumerate(maxdeg):
+        # powers[v][e] is x_v**e; index 0 is never read, since terms list
+        # only nonzero exponents
+        col = [None, X[:, v]]
+        for _ in range(1, d):
+            col.append(col[-1] * X[:, v])
+        powers.append(col)
+    results = []
+    for terms in outputs:
+        out = np.zeros(X.shape[0])
+        for c, factors in terms:
+            if not factors:
+                out += c
+                continue
+            (v, e), rest = factors[0], factors[1:]
+            term = c * powers[v][e]
+            for v, e in rest:
+                term *= powers[v][e]
+            out += term
+        results.append(out)
+    return results
 
 
 def monomials_upto(num_vars: int, k: int) -> list[Exponent]:

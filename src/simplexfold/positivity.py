@@ -72,7 +72,8 @@ def polya_certify(p: MultiPoly, k: int | None = None,
 
     Returns the minimal certifying N, a sampled negative witness, or
     indeterminate(N_max).  Exact arithmetic throughout the expansion; the
-    witness pre-scan runs in floats on ~10^4 quasi-uniform points.
+    witness pre-scan runs in floats on ~10^4 quasi-uniform points, and its
+    lowest point is a witness only if p is negative there exactly.
     """
     if p.scalar_mode != EXACT:
         raise TypeError("certification requires an exact polynomial")
@@ -84,7 +85,7 @@ def polya_certify(p: MultiPoly, k: int | None = None,
     pts = _prescan_points(p.num_vars)
     vals = p.eval_many(pts)
     i = int(vals.argmin())
-    if vals[i] < 0:
+    if vals[i] < 0 and p.evaluate([Fraction(v) for v in pts[i]]) < 0:
         return PolyaCertificate(NEGATIVE, N_max=N_max,
                                 witness_point=tuple(pts[i]),
                                 witness_value=float(vals[i]))

@@ -58,6 +58,11 @@ def brute_force_rays(A, dim):
     return {r for r in rays if any(r)}
 
 
+def assert_rays_in_cone(rep):
+    slacks = np.array(rep.ineq, dtype=object) @ np.array(rep.rays, dtype=object).T
+    assert (slacks >= 0).all()
+
+
 class TestBuildInequalities:
     def test_line_cone(self):
         rep = build_inequalities(1, 1, 0)
@@ -95,6 +100,15 @@ class TestEnumerateRays:
         x = MultiPoly.variable(1, 0)
         assert {rep.ray_poly(i) for i in range(2)} == {x, 1 - x}
 
+    def test_negative_leading_row_keeps_ray_sign(self):
+        # the ray of -a >= 0, b >= 0 along a is (-1, 0); normalising its
+        # first nonzero entry to be positive flipped it out of the cone
+        rep = ConeRep(1, 1, 0, [(0,), (1,)], [(0, 1), (1, 0)], [(-1, 0), (0, 1)])
+        enumerate_rays(rep)
+        assert rep.rays == [(-1, 0), (0, 1)]
+        assert_rays_in_cone(rep)
+        assert set(rep.rays) == brute_force_rays(rep.ineq, rep.dim)
+
     def test_single_inequality_1d(self):
         rep = ConeRep(1, 0, 0, [(0,)], [(0,)], [(1,)])
         enumerate_rays(rep)
@@ -109,11 +123,13 @@ class TestEnumerateRays:
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
     def test_matches_brute_force_interval(self, k, N):
         rep = enumerate_rays(build_inequalities(1, k, N))
+        assert_rays_in_cone(rep)
         assert set(rep.rays) == brute_force_rays(rep.ineq, rep.dim)
 
     @pytest.mark.parametrize("k,N", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
     def test_matches_brute_force_triangle(self, k, N):
         rep = enumerate_rays(build_inequalities(2, k, N))
+        assert_rays_in_cone(rep)
         assert set(rep.rays) == brute_force_rays(rep.ineq, rep.dim)
 
     def test_66_rows_pinned_hash(self):
@@ -122,6 +138,7 @@ class TestEnumerateRays:
         rep = enumerate_rays(build_inequalities(2, 2, 8))
         rows = json.dumps([list(r) for r in rep.rays], separators=(",", ":"))
         assert len(rep.ineq) == 66 and len(rep.rays) == 900
+        assert_rays_in_cone(rep)
         assert hashlib.sha256(rows.encode()).hexdigest() == (
             "57fdfae1eb1c3ed58ead58f704d485bd0e31c87023108f61cbf5bb9300ef6054")
 
@@ -135,6 +152,7 @@ class TestEnumerateRays:
         with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
             enumerate_rays(rep)
         assert rep.rays == plain
+        assert_rays_in_cone(rep)
         record, = caplog.records
         assert record.dtype == "object"
         assert record.widened_at == widened_at

@@ -1,13 +1,17 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
-from simplexfold import dynamics, folding, maps, simplex
-from simplexfold.dynamics import (CONVERGED_FIXED, NONPERIODIC, PERIODIC,
-                                  classify_orbit, classify_orbits,
+from simplexfold import dynamics, folding, sampler, simplex
+from simplexfold.cone import build_inequalities, enumerate_rays, scale_generators
+from simplexfold.dynamics import (CONVERGED_FIXED, FAILED, NONPERIODIC, PERIODIC,
+                                  ScanRow, classify_orbit, classify_orbits,
                                   find_fixed_points, fixation_experiment,
                                   fixation_time, invariant_measure_test,
                                   small_matrix_eigenvalues)
-from simplexfold.maps import SimplexMap
+from simplexfold.maps import MapImageError, SimplexMap
 from simplexfold.polynomial import FLOAT, MultiPoly
 
 
@@ -148,6 +152,117 @@ class TestDeformScan:
         assert rows[0].verdict == "failed" and rows[0].error
 
 
+SCAN_KW = {"window": 300, "burn_in": 30, "master_seed": 3}
+TRIALS = 20
+
+
+@pytest.fixture(scope="module")
+def fold_batch():
+    """The triangle two-fold, then its fold row and six deformations."""
+    rep = enumerate_rays(build_inequalities(2, 2, 2))
+    scale_generators(rep)
+    f2 = folding.catalog("tri:f2")
+    cfg = sampler.SamplerConfig(cone=rep, epsilon=0.05, master_seed=3)
+    return f2, [f2.to_float()] + [sampler.deform(f2, cfg, sampler.make_rng(3, i))
+                                  for i in range(1, 7)]
+
+
+def _escaping_maps():
+    x = MultiPoly.variable(2, 0, FLOAT)
+    zero = MultiPoly.zero(2, FLOAT)
+    # leaves the simplex within a few steps of burn-in
+    fast = SimplexMap(2, 2, [2.5 * x, zero])
+    # leaves it after burn-in: 136 steps in, at index 6 of the batch below
+    slow = SimplexMap(2, 1, [1.003 * x, zero], label="slow")
+    return fast, slow
+
+
+def _scan_alone(f_star, g, index, trials, *, window, burn_in, master_seed):
+    """Reference row: one map scanned on its own, as one map per task did.
+
+    Terms are put in graded-lex order, the order of map JSON, in which every
+    map reached a scan worker.
+    """
+    f_star, g = (SimplexMap(h.n, h.k, [MultiPoly(h.n, dict(p.sorted_terms()),
+                                                 p.scalar_mode) for p in h.P],
+                            h.label) for h in (f_star, g))
+    dist = simplex.l2_distance(f_star, g)
+    report = find_fixed_points(g, lattice_target=200, n_random=100,
+                               seed=master_seed ^ index)
+    rng = np.random.Generator(np.random.Philox(key=[master_seed, index]))
+    X = simplex.sample_uniform(g.n, trials, rng)
+    try:
+        # the orbit as the scan steps it; apply_many raises on the first bad image
+        Y = X
+        for _ in range(burn_in + window):
+            Y = g.apply_many(Y)
+    except MapImageError as exc:
+        return ScanRow(index, math.nan, math.nan, "failed", 0,
+                       error=f"{type(exc).__name__}: {exc}")
+    kinds = classify_orbits(g, X, window=window, burn_in=burn_in)
+    green = all(v.kind == NONPERIODIC for v in kinds)
+    return ScanRow(index, dist, report.min_abs_eig(), "green" if green else "red",
+                   len(report), tuple(p.min_abs_eig() for p in report.points))
+
+
+class TestLockstepScan:
+    def test_rows_equal_maps_scanned_alone(self, fold_batch):
+        f2, samples = fold_batch
+        rows = dynamics.deform_scan(f2, samples, TRIALS, **SCAN_KW)
+        assert [r.index for r in rows] == list(range(len(samples)))
+        assert {r.verdict for r in rows} == {"green", "red"}
+        for i, (row, g) in enumerate(zip(rows, samples)):
+            # repr prints every float exactly: equal reprs are equal bits
+            assert repr(row) == repr(_scan_alone(f2, g, i, TRIALS, **SCAN_KW))
+
+    def test_escaping_maps_fail_only_their_rows(self, fold_batch):
+        f2, samples = fold_batch
+        fast, slow = _escaping_maps()
+        batch = samples[:3] + [fast] + samples[3:5] + [slow] + samples[5:]
+        rows = dynamics.deform_scan(f2, batch, TRIALS, **SCAN_KW)
+        assert [r.index for r in rows if r.verdict == "failed"] == [3, 6]
+        assert rows[6].error.endswith("(map slow)")
+        for i, (row, g) in enumerate(zip(rows, batch)):
+            assert repr(row) == repr(_scan_alone(f2, g, i, TRIALS, **SCAN_KW))
+
+    def test_distance_ignores_term_order(self, fold_batch):
+        # maps built by arithmetic keep their terms in insertion order; the
+        # row's distance is that of the maps' graded-lex (JSON) form
+        f2, samples = fold_batch
+        rows = dynamics.deform_scan(f2, samples[1:], 2, window=5, burn_in=0)
+        for row, g in zip(rows, samples[1:]):
+            expected = simplex.l2_distance(SimplexMap.from_json(f2.to_json()),
+                                           SimplexMap.from_json(g.to_json()))
+            assert row.l2_distance == expected
+
+    def test_failed_verdicts_carry_the_error(self):
+        fast, _ = _escaping_maps()
+        f = folding.catalog("tri:f2").to_float()
+        x0s = simplex.sample_uniform(2, 6, np.random.default_rng(24))
+        verdicts = classify_orbits([f, fast], x0s, window=50, burn_in=5,
+                                   map_index=[0, 1, 0, 1, 0, 1])
+        assert [v.kind == FAILED for v in verdicts] == [False, True] * 3
+        assert len({v.error for v in verdicts[1::2]}) == 1
+        assert verdicts[1].error.startswith("MapImageError: image ")
+        alone = classify_orbits(f, x0s[0::2], window=50, burn_in=5)
+        assert verdicts[0::2] == alone
+
+    def test_debug_record(self, caplog, capsys):
+        fast, _ = _escaping_maps()
+        f2 = folding.catalog("tri:f2")
+        c = SimplexMap(2, 2, [MultiPoly.constant(2, 1 / 3, FLOAT)] * 2)
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.dynamics"):
+            dynamics.deform_scan(f2, [f2.to_float(), c, fast], trials_per_map=3,
+                                 window=40, burn_in=5)
+        record, = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.verdicts == {"green": 1, "red": 1, "failed": 1}
+        assert record.failures == {"MapImageError": 1}
+        assert record.lockstep_steps == 45  # the fold's orbits run the window
+        assert 0 <= record.clamped_rows <= 9
+        assert capsys.readouterr() == ("", "")
+
+
 class TestFixation:
     def test_ninefold_statistics(self):
         f9 = folding.catalog("tri:f9").to_float()
@@ -199,3 +314,12 @@ class TestInvariantMeasure:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             invariant_measure_test(0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_statistic_matches_scipy(self, d):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.Generator(np.random.Philox(key=4))
+        x = (1.0 - np.cos(np.pi * rng.random(5000))) / 2.0
+        pushed = folding.catalog(f"cheb:{d}").to_float().P[0].eval_many(x[:, None])
+        ref = stats.kstest(pushed, dynamics.arcsine_cdf).statistic
+        assert abs(invariant_measure_test(d, 5000, master_seed=4) - ref) <= 1e-15

@@ -50,6 +50,14 @@ class TestPolyaCertify:
         assert cert.verdict == positivity.INDETERMINATE
         assert cert.N_max == 12
 
+    def test_rounding_is_not_a_witness(self):
+        # both touch zero inside the triangle, where the float pre-scan
+        # reads -2.8e-17 and -5.6e-17; exactly, they are never negative
+        x, y = MultiPoly.variables(2)
+        for p in ((3 * x - y) ** 2, (x - 2 * y) ** 2 * (x + y)):
+            cert = positivity.polya_certify(p, N_max=3)
+            assert cert.verdict == positivity.INDETERMINATE
+
     def test_negative_witness(self):
         x = MultiPoly.variable(1, 0)
         cert = positivity.polya_certify(x - Fraction(1, 2))
