@@ -19,6 +19,7 @@ f8 = f2 o f2 o f2 and the nine-fold.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,29 +29,31 @@ from . import _newton, maps, simplex
 from .polynomial import (EXACT, FLOAT, MultiPoly, divide_by_linear,
                          gradedlex_key, linear_form, monomials_upto)
 
+log = logging.getLogger(__name__)
+
 
 # -- Chebyshev polynomials ----------------------------------------------------
 
 
-def chebyshev_T(d: int) -> MultiPoly:
-    """T_d in one exact variable, via T_{d+1} = 2 z T_d - T_{d-1}."""
+def _chebyshev(d: int, first: MultiPoly) -> MultiPoly:
+    """p_d of the recurrence p_{d+1} = 2 z p_d - p_{d-1}, p_0 = 1, p_1 = first."""
     z = MultiPoly.variable(1, 0)
-    prev, cur = MultiPoly.constant(1, 1), z
+    prev, cur = MultiPoly.constant(1, 1), first
     if d == 0:
         return prev
     for _ in range(d - 1):
         prev, cur = cur, z * cur * 2 - prev
     return cur
+
+
+def chebyshev_T(d: int) -> MultiPoly:
+    """T_d in one exact variable: p_1 = z."""
+    return _chebyshev(d, MultiPoly.variable(1, 0))
 
 
 def chebyshev_U(d: int) -> MultiPoly:
-    z = MultiPoly.variable(1, 0)
-    prev, cur = MultiPoly.constant(1, 1), z * 2
-    if d == 0:
-        return prev
-    for _ in range(d - 1):
-        prev, cur = cur, z * cur * 2 - prev
-    return cur
+    """U_d in one exact variable: p_1 = 2 z."""
+    return _chebyshev(d, MultiPoly.variable(1, 0) * 2)
 
 
 def chebyshev_fold(d: int) -> MultiPoly:
@@ -93,6 +96,11 @@ def _tri_f2():
     return maps.SimplexMap(2, 2, [P1, P2], label="table2:f2")
 
 
+def _f9_cubic(u: MultiPoly, v: MultiPoly) -> MultiPoly:
+    """The nine-fold's cubic cofactor; m_1 = (1 - y) c(x, y), m_2 = (1 - x) c(y, x)."""
+    return 2 - 9 * u + 24 * u ** 2 - 16 * u ** 3 + 9 * v - 24 * v ** 2 + 16 * v ** 3
+
+
 def catalog(name: str) -> maps.SimplexMap:
     """Exact catalog map by name: 'cheb:d' (d >= 1) or 'tri:f{1,2,4,8,9}'."""
     if name.startswith("cheb:"):
@@ -115,9 +123,8 @@ def catalog(name: str) -> maps.SimplexMap:
         return maps.SimplexMap(2, 8, f8.P, label="table2:f8")
     if name == "tri:f9":
         x, y = MultiPoly.variables(2)
-        cub = lambda u, v: 2 - 9 * u + 24 * u ** 2 - 16 * u ** 3 + 9 * v - 24 * v ** 2 + 16 * v ** 3
-        P1 = x * (1 - y) * cub(x, y) * (3 - 4 * x) ** 2 * (1 - 4 * y) ** 2
-        P2 = y * (1 - x) * cub(y, x) * (3 - 4 * y) ** 2 * (1 - 4 * x) ** 2
+        P1 = x * (1 - y) * _f9_cubic(x, y) * (3 - 4 * x) ** 2 * (1 - 4 * y) ** 2
+        P2 = y * (1 - x) * _f9_cubic(y, x) * (3 - 4 * y) ** 2 * (1 - 4 * x) ** 2
         return maps.SimplexMap(2, 9, [P1, P2], label="table2:f9")
     raise KeyError(f"unknown catalog entry {name!r}")
 
@@ -170,12 +177,11 @@ def catalog_factors(name: str) -> FoldFactors:
             (q1, x - y, 1 - 2 * x ** 2 - 2 * y ** 2),
             (one, (1 + x + y) * quart * 8, (1 - 2 * x * y) * 32))
     if name == "tri:f9":
-        cub = lambda u, v: 2 - 9 * u + 24 * u ** 2 - 16 * u ** 3 + 9 * v - 24 * v ** 2 + 16 * v ** 3
         return FoldFactors(
             (x, y, edge),
             ((3 - 4 * x) * (1 - 4 * y), (3 - 4 * y) * (1 - 4 * x),
              1 - 8 * x + 16 * x ** 2 - 8 * y - 16 * x * y + 16 * y ** 2),
-            ((1 - y) * cub(x, y), (1 - x) * cub(y, x), edge))
+            ((1 - y) * _f9_cubic(x, y), (1 - x) * _f9_cubic(y, x), edge))
     raise KeyError(f"unknown catalog entry {name!r}")
 
 
@@ -603,36 +609,65 @@ class _CompiledTemplate:
         return J
 
 
-def _deflation_batch(theta: np.ndarray, K: np.ndarray | None):
-    """Per-row deflation factor prod_s(1/|theta-s|^2 + 1) and grad of its log."""
-    S, P = theta.shape
-    if K is None or len(K) == 0:
-        return np.ones(S), np.zeros((S, P))
+def _deflation_factor(theta: np.ndarray, K: np.ndarray):
+    """Per-row deflation factor D = prod_s(1/|theta-s|^2 + 1) over the rows s
+    of K, returned with its terms (diff, r2, fac) for the gradient."""
     diff = theta[:, None, :] - K[None, :, :]
     r2 = np.maximum((diff ** 2).sum(axis=2), 1e-300)
     fac = 1.0 / r2 + 1.0
-    D = fac.prod(axis=1)
+    return fac.prod(axis=1), diff, r2, fac
+
+
+def _deflation_batch(theta: np.ndarray, K: np.ndarray):
+    """Per-row deflation factor D and the gradient of log D."""
+    D, diff, r2, fac = _deflation_factor(theta, K)
     grad_log = ((-2.0 * diff / (r2 * r2)[:, :, None]) / fac[:, :, None]).sum(axis=1)
     return D, grad_log
+
+
+def _deflation_points(ft: _CompiledTemplate, known: list[np.ndarray],
+                      residual_tol: float) -> np.ndarray:
+    """One deflation point per distinct root of `known`, kept in order.
+
+    A root joins an earlier kept point when the residual at their midpoint
+    is itself a root (max |residual| <= residual_tol, the harvest test).
+    That merges the near-copies one sweep harvests around a root, including
+    the wide clusters around singular roots, and never merges two roots
+    that a non-root separates.
+    """
+    kept = np.empty((0, ft.template.n_params))
+    for t in known:
+        mid = (kept + t) / 2
+        if not (np.abs(ft.residual_batch(mid)).max(axis=1) <= residual_tol).any():
+            kept = np.vstack([kept, t])
+    return kept
 
 
 def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.ndarray],
                     residual_tol: float, known_tol: float, max_iter: int):
     """Damped Newton on the deflated system from every seed in lockstep.
 
-    Damping halves the step while the deflated residual grows, but falls
-    back to the full step when thirty halvings fail, which lets iterates
-    escape shallow least-squares valleys instead of dying in them.
-    Returns (new roots found this sweep, best residual norm seen).
+    Each distinct root of `known` is deflated once (`_deflation_points`).
+    Damping halves the step while the deflated residual grows, evaluating
+    only the deflation factor at each trial point, but falls back to the
+    full step when thirty halvings fail, which lets iterates escape shallow
+    least-squares valleys instead of dying in them.  A converged row is
+    harvested unless it lies within known_tol of a root in `known`.
+    Returns (new roots found this sweep, best residual norm seen, counts),
+    where counts holds the sweep's seeds, converged rows, rows retired as
+    non-finite or above 1e14, rows that used up every halving at least
+    once, harvested roots and deflation points.
     """
-    K = np.array(known) if known else None
+    K = _deflation_points(ft, known, residual_tol)
     theta = seeds.copy()
     alive = np.ones(theta.shape[0], dtype=bool)
+    exhausted = np.zeros(theta.shape[0], dtype=bool)
     best = np.inf
     roots: list[np.ndarray] = []
+    converged = retired = 0
 
     def harvest():
-        nonlocal best
+        nonlocal best, converged
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             return
@@ -641,9 +676,10 @@ def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.nda
         done = rn <= residual_tol
         for i in idx[done]:
             t = theta[i]
-            if all(np.linalg.norm(t - s) > known_tol for s in (known or [])):
+            if all(np.linalg.norm(t - s) > known_tol for s in known):
                 roots.append(t.copy())
         alive[idx[done]] = False
+        converged += int(done.sum())
 
     for _ in range(max_iter):
         harvest()
@@ -658,6 +694,7 @@ def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.nda
         bad = ~np.isfinite(g).all(axis=1) | (np.abs(g).max(axis=1) > 1e14) \
             | ~np.isfinite(Jg).reshape(len(th), -1).all(axis=1)
         alive[idx[bad]] = False
+        retired += int(bad.sum())
         good = ~bad
         idx, th, g, Jg = idx[good], th[good], g[good], Jg[good]
         if idx.size == 0:
@@ -665,6 +702,7 @@ def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.nda
         step = np.einsum("spo,so->sp", np.linalg.pinv(Jg), g)
         fin = np.isfinite(step).all(axis=1)
         alive[idx[~fin]] = False
+        retired += int((~fin).sum())
         idx, th, g, step = idx[fin], th[fin], g[fin], step[fin]
         if idx.size == 0:
             continue
@@ -677,16 +715,20 @@ def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.nda
             if p.size == 0:
                 break
             cand = th[p] - lam[p, None] * step[p]
-            Dc, _ = _deflation_batch(cand, K)
+            Dc = _deflation_factor(cand, K)[0]
             gn2 = np.abs(Dc[:, None] * ft.residual_batch(cand)).max(axis=1)
             acc = gn2 < gn[p]
             newt[p[acc]] = cand[acc]
             pending[p[acc]] = False
             lam[p[~acc]] /= 2
         # rows with no residual-reducing step take the full step anyway
+        exhausted[idx[pending]] = True
         theta[idx] = newt
     harvest()
-    return roots, best
+    counts = {"seeds": len(seeds), "converged": converged, "retired": retired,
+              "exhausted": int(exhausted.sum()), "harvested": len(roots),
+              "deflated": len(K)}
+    return roots, best, counts
 
 
 def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
@@ -699,12 +741,15 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
     Damped Newton runs from quasi-random multistarts; once a sweep over all
     seeds stops producing new roots, known roots are deflated out of the
     system and the sweep repeats, so solutions whose basins barely touch the
-    seed box (fold coefficients grow like 2^k) still surface.  Converged
+    seed box (fold coefficients grow like 2^k) still surface.  Every root
+    harvested so far is kept, but each distinct root is deflated only once,
+    and the line search evaluates only the deflation factor.  Converged
     parameters are sign-gauge canonicalized, deduplicated, rounded to
     rationals and re-verified exactly, then filtered by sign constraints,
-    crease structure and map membership.  Raises FoldSolveError when no seed
-    converges at all; an empty list after filtering means the template has
-    no feasible fold.
+    crease structure and map membership.  One DEBUG record on
+    `simplexfold.folding` gives each sweep's counts and the candidates each
+    step dropped.  Raises FoldSolveError when no seed converges at all; an
+    empty list after filtering means the template has no feasible fold.
     """
     ft = _CompiledTemplate(template)
     P = template.n_params
@@ -714,9 +759,11 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
 
     known: list[np.ndarray] = []
     best = np.inf
+    sweeps = []
     for _sweep in range(max_sweeps):
-        roots, rn = _deflated_sweep(ft, seed_arr, known, residual_tol,
-                                    known_tol=1e-6, max_iter=newton_iters)
+        roots, rn, counts = _deflated_sweep(ft, seed_arr, known, residual_tol,
+                                            known_tol=1e-6, max_iter=newton_iters)
+        sweeps.append(counts)
         best = min(best, rn)
         fresh = []
         for t in roots:
@@ -725,14 +772,11 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
         if not fresh:
             break
         known.extend(fresh)
-    if not known:
-        raise FoldSolveError(
-            f"no converged solutions for template {template.name!r} "
-            f"(best residual {best:.3e})", best_residual=best)
 
     converged = [_canonicalize_q_signs(template, t) for t in known]
     converged = _newton.dedup_points(np.array(converged), dedup_tol)
-
+    dropped = {"dedup": len(known) - len(converged), "sign": 0, "crease": 0,
+               "membership": 0}
     solutions = []
     for theta in converged:
         exact_params = [Fraction(v).limit_denominator(max_denominator) for v in theta]
@@ -740,11 +784,14 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
         params = tuple(exact_params) if exact else tuple(float(v) for v in theta)
         rnorm = 0.0 if exact else float(np.abs(ft.residual_vec(theta)).max())
         if not _passes_sign_constraints(template, list(params)):
+            dropped["sign"] += 1
             continue
         if not _crease_structure_ok(template, list(params)):
+            dropped["crease"] += 1
             continue
         fmap = assemble_map(template, list(params))
         if not maps.membership_check(fmap.to_float(), mode=membership_mode).ok:
+            dropped["membership"] += 1
             continue
         mode = _params_mode(list(params))
         solutions.append(FoldSolution(
@@ -752,6 +799,16 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
             tuple(q.instantiate(list(params), mode) for q in template.q),
             tuple(m.instantiate(list(params), mode) for m in template.m)))
     solutions.sort(key=lambda s: tuple(map(float, s.params)))
+    log.debug("solve_fold(%s): sweeps %s, %d roots known, dropped %s, "
+              "%d solutions", template.name, sweeps, len(known), dropped,
+              len(solutions),
+              extra={"template": template.name, "sweeps": sweeps,
+                     "known": len(known), "dropped": dropped,
+                     "solutions": len(solutions)})
+    if not known:
+        raise FoldSolveError(
+            f"no converged solutions for template {template.name!r} "
+            f"(best residual {best:.3e})", best_residual=best)
     return solutions
 
 

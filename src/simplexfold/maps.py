@@ -123,9 +123,12 @@ class SimplexMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplexMap":
-        return cls(int(data["n"]), int(data["k"]),
-                   [MultiPoly.from_json(p) for p in data["P"]],
-                   data.get("label", ""))
+        P = [MultiPoly.from_json(p) for p in data["P"]]
+        # A component with no terms carries no scalar mode of its own in
+        # JSON; it takes the mode of the components that have terms.
+        if any(p.terms and p.scalar_mode == FLOAT for p in P):
+            P = [p if p.terms else p.to_float() for p in P]
+        return cls(int(data["n"]), int(data["k"]), P, data.get("label", ""))
 
     def __eq__(self, other):
         return (isinstance(other, SimplexMap) and self.n == other.n

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,69 @@ class TestSolveFold:
         tpl = folding.interval_fold_template(2)
         with pytest.raises(FoldSolveError):
             solve_fold(tpl, n_seeds=1, newton_iters=1, max_sweeps=1)
+
+    def test_debug_record(self, caplog, capsys):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
+            sols = solve_fold(folding.interval_fold_template(2))
+        record, = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.template == "interval:2"
+        first = record.sweeps[0]
+        assert first["seeds"] == 200 and first["deflated"] == 0
+        assert first["converged"] == first["harvested"] == 200
+        # the second sweep deflates the four roots the first one left
+        assert record.known == record.sweeps[1]["deflated"] == 4
+        assert record.sweeps[-1]["harvested"] == 0
+        for counts in record.sweeps:
+            assert set(counts) == {"seeds", "converged", "retired",
+                                   "exhausted", "harvested", "deflated"}
+        assert set(record.dropped) == {"dedup", "sign", "crease", "membership"}
+        assert record.known - sum(record.dropped.values()) == record.solutions
+        assert record.solutions == len(sols) == 1
+        assert capsys.readouterr() == ("", "")
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("k", [0, 1, 7, 60])
+    def test_line_search_factor_is_batch_factor(self, k):
+        rng = np.random.default_rng(k)
+        theta = rng.normal(scale=3, size=(50, 5))
+        K = rng.normal(scale=3, size=(k, 5))
+        K[:min(k, 3)] = theta[:min(k, 3)]      # r2 clipped at 1e-300
+        with np.errstate(invalid="ignore"):     # 0/0 in those rows' gradient
+            D, _ = folding._deflation_batch(theta, K)
+        factor = folding._deflation_factor(theta, K)[0]
+        assert factor.tobytes() == D.tobytes()
+        if k == 0:
+            assert (factor == 1.0).all()
+
+    def test_distinct_roots_stay_apart(self):
+        # interval:2's degenerate root, the logistic map and its sign copy:
+        # every midpoint is a non-root
+        ft = folding._CompiledTemplate(folding.interval_fold_template(2))
+        roots = [np.array([0.0, 1.0, 0.0]), np.array([4.0, 1.0, -2.0]),
+                 np.array([4.0, -1.0, 2.0])]
+        K = folding._deflation_points(ft, roots, 1e-10)
+        assert K.tobytes() == np.array(roots).tobytes()
+
+    def test_sweep_harvest_merges(self):
+        tpl = folding.interval_fold_template(3)
+        ft = folding._CompiledTemplate(tpl)
+        seeds = folding._rd_box_seeds(tpl.n_params, 200, 5.0)
+        roots, _, counts = folding._deflated_sweep(ft, seeds, [], 1e-10, 1e-6, 150)
+        assert counts["harvested"] == len(roots)
+        known = []                              # solve_fold's 1e-6 merge
+        for t in roots:
+            if all(np.linalg.norm(t - s) > 1e-6 for s in known):
+                known.append(t)
+        assert len(known) == 57
+        K = folding._deflation_points(ft, known, 1e-10)
+        assert len(K) <= 16
+        assert np.abs(K - [3, -4, 1, -4]).max(axis=1).min() <= 1e-8
+        # every harvested root has a kept point it merged into
+        mids = (K[None, :, :] + np.array(known)[:, None, :]) / 2
+        rn = np.abs(ft.residual_batch(mids.reshape(-1, tpl.n_params))).max(axis=1)
+        assert (rn.reshape(len(known), len(K)) <= 1e-10).any(axis=1).all()
 
 
 class TestPreimageCount:

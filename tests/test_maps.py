@@ -7,7 +7,7 @@ import pytest
 
 from simplexfold import folding, maps, simplex
 from simplexfold.maps import SimplexMap
-from simplexfold.polynomial import FLOAT, MultiPoly
+from simplexfold.polynomial import EXACT, FLOAT, MultiPoly
 
 
 class TestMembership:
@@ -117,6 +117,21 @@ class TestConstructor:
         f = folding.catalog("tri:f9")
         data = json.loads(json.dumps(f.to_json()))
         assert SimplexMap.from_json(data) == f
+
+    def test_json_round_trip_zero_component(self):
+        # JSON gives a polynomial with no terms no scalar mode; the map's
+        # other components decide it
+        x, y = MultiPoly.variables(2)
+        f = SimplexMap(2, 2, [0.5 * MultiPoly.variable(2, 0, FLOAT),
+                              MultiPoly.zero(2, FLOAT)])
+        back = SimplexMap.from_json(json.loads(json.dumps(f.to_json())))
+        assert back == f
+        assert [p.scalar_mode for p in back.P] == [FLOAT, FLOAT]
+        g = SimplexMap(2, 2, [x * y, MultiPoly.zero(2)])
+        back = SimplexMap.from_json(json.loads(json.dumps(g.to_json())))
+        assert back == g
+        assert back.scalar_mode == EXACT
+        assert back.P[1].scalar_mode == EXACT
 
 
 class TestMarkov:
