@@ -171,23 +171,11 @@ def _initial_simplicial(A: list[Vec], dim: int):
     if len(chosen) < dim:
         raise ConeNotPointedError(
             f"inequality matrix has rank {len(chosen)} < {dim}; cone contains a line")
-    # Gauss-Jordan inverse over Fractions; column j of the inverse meets
-    # every chosen row with slack 0 except row j, where the slack is 1
-    M = [[Fraction(c) for c in row] for row in chosen]
-    inv = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for c in range(dim):
-        piv = next(i for i in range(c, dim) if M[i][c] != 0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-        f = M[c][c]
-        M[c] = [a / f for a in M[c]]
-        inv[c] = [a / f for a in inv[c]]
-        for i in range(dim):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
+    # inverse over Fractions; column j of the inverse meets every chosen
+    # row with slack 0 except row j, where the slack is 1
+    inv = simplex.gauss_jordan([[Fraction(c) for c in row]
+                                + [Fraction(int(i == j)) for j in range(dim)]
+                                for i, row in enumerate(chosen)])
     rays = []
     for j in range(dim):
         col = [inv[i][j] for i in range(dim)]
@@ -315,24 +303,29 @@ def ray_is_extreme(cone: ConeRep, ray) -> bool:
     return _rank(active, cone.dim) == cone.dim - 1
 
 
-def scale_generators(cone: ConeRep, grid_depth: int | None = None,
-                     refine_iters: int = 200) -> ConeRep:
+def scale_generators(cone: ConeRep) -> ConeRep:
     """Scale every ray so its polynomial has maximum 1 on the simplex."""
     if cone.rays is None:
         raise ValueError("enumerate rays before scaling")
     scaled, vectors = [], []
+    face_dims: dict[int, int] = {}
     for i, ray in enumerate(cone.rays):
         p = cone.ray_poly(i).to_float()
-        val, _ = simplex.max_on_simplex(p, grid_depth=grid_depth,
-                                        refine_iters=refine_iters)
+        val, arg = simplex.max_on_simplex(p)
         if val <= 0:
             raise ValueError(
                 f"ray {i} has non-positive simplex maximum {val}; "
                 "numerical failure for a nonzero non-negative generator")
+        dim = cone.n - len(simplex.face_of(arg))
+        face_dims[dim] = face_dims.get(dim, 0) + 1
         scaled.append(p / val)
         vectors.append([float(c) / val for c in ray])
     cone.scaled_rays = scaled
     cone.scaled_vectors = np.array(vectors)
+    face_dims = dict(sorted(face_dims.items()))
+    log.debug("scale_generators(%d,%d,%d): %d generators scaled, maxima by "
+              "face dimension %s", cone.n, cone.k, cone.N, len(scaled), face_dims,
+              extra={"generators": len(scaled), "max_face_dims": face_dims})
     return cone
 
 

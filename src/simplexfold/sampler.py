@@ -82,9 +82,11 @@ def random_positive_poly(cfg: SamplerConfig, rng: np.random.Generator) -> MultiP
 def random_interior_map(cfg: SamplerConfig, rng: np.random.Generator) -> SimplexMap:
     """Interior map t* (R*_1, ..., R*_n) with t* ~ U[0, 1/S_max].
 
-    S_max is the simplex maximum of the component sum; because it comes
-    from a numerical optimizer, membership is re-checked by sampling and
-    the draw retried on the rare underestimate.
+    S_max is the simplex maximum of the component sum.  For the quadrics
+    of a k = 2 cone `simplex.max_on_simplex` evaluates it at the exact
+    maximiser; for higher degree it comes from a lattice scan plus
+    Nelder-Mead.  Membership is still re-checked by sampling and the draw
+    retried when the check fails.
     """
     n = cfg.cone.n
     for _ in range(cfg.max_retries):

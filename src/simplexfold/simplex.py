@@ -170,18 +170,95 @@ def project_to_simplex(v) -> np.ndarray:
     return _project_unit_simplex(v)
 
 
-def max_on_simplex(p: MultiPoly, grid_depth: int | None = None,
-                   refine_iters: int = 200) -> tuple[float, np.ndarray]:
-    """Global maximum of p over the simplex: dense lattice scan plus
-    Nelder-Mead refinement from the best interior and per-facet grid points.
+# Iteration cap of each Nelder-Mead refinement (degree >= 3).
+_REFINE_ITERS = 200
 
-    Refinement evaluates p through a Euclidean projection onto the simplex,
-    so iterates never leave the feasible set.
+
+def max_on_simplex(p: MultiPoly) -> tuple[float, np.ndarray]:
+    """Global maximum of p over the simplex as (value, point).
+
+    Degree <= 2 is exact by enumeration (`_quadric_candidates`): the
+    maximum of a quadric sits at a vertex or at the critical point of its
+    restriction to one face, and every such point is found exactly.
+    Higher degree uses a dense lattice scan plus Nelder-Mead refinement
+    from the best interior and per-facet grid points; refinement evaluates
+    p through a Euclidean projection onto the simplex, so iterates never
+    leave the feasible set.  Either way the candidates are evaluated with
+    `eval_many` and the best float value is returned.
+    """
+    if p.degree() <= 2:
+        cands = _quadric_candidates(p)
+        vals = p.eval_many(cands)
+        i = int(vals.argmax())
+        return float(vals[i]), cands[i]
+    return _max_lattice_nelder_mead(p)
+
+
+def _quadric_candidates(p: MultiPoly) -> np.ndarray:
+    """Every point where a quadric p can take its simplex maximum.
+
+    In barycentric coordinates l = (x, 1 - sum(x)) p is l^T Q l with
+    sum(l) = 1, and on the face spanned by the vertex set S a critical
+    point solves [2 Q_SS, -1; 1^T, 0] [l_S; mu] = [0; 1].  The system is
+    solved exactly in Fractions (float coefficients convert exactly) and
+    a solution is kept only when l_S > 0; vertices always qualify.  A
+    singular system is skipped: a quadric is constant on its critical set,
+    and that set, where it meets the face, also meets the face's boundary,
+    which the smaller faces cover.
     """
     n = p.num_vars
-    if grid_depth is None:
-        grid_depth = default_grid_depth(n)
-    grid = barycentric_lattice(n, grid_depth)
+    m = n + 1
+    # M = 2Q.  A term c x^a homogenizes to c x^a (sum l)^(2 - |a|), a sum
+    # of c l_i l_j over ordered pairs (i, j); each adds c to M_ij and M_ji.
+    M = [[Fraction(0)] * m for _ in range(m)]
+    every = range(m)
+    for exp, c in p.terms.items():
+        c = Fraction(c)
+        idx = [i for i, e in enumerate(exp) for _ in range(e)]
+        firsts = idx[:1] or every
+        seconds = idx[1:] or every
+        for i in firsts:
+            for j in seconds:
+                M[i][j] += c
+                M[j][i] += c
+    cands = []
+    for mask in range(1, 1 << m):
+        S = [i for i in range(m) if mask >> i & 1]
+        rows = [[M[i][j] for j in S] + [Fraction(-1), Fraction(0)] for i in S]
+        rows.append([Fraction(1)] * len(S) + [Fraction(0), Fraction(1)])
+        sol = gauss_jordan(rows)
+        if sol is None:
+            continue
+        lam = [r[0] for r in sol[:-1]]
+        if min(lam) <= 0:
+            continue
+        point = dict(zip(S, lam))
+        cands.append([float(point.get(i, 0)) for i in range(n)])
+    return np.array(cands, dtype=float)
+
+
+def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Rows of A^-1 B for the augmented rows [A | B] of a square A, by
+    Gauss-Jordan elimination over Fractions; None when A is singular.
+    The rows are reduced in place."""
+    k = len(rows)
+    for c in range(k):
+        piv = next((i for i in range(c, k) if rows[i][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        f = rows[c][c]
+        rows[c] = [a / f for a in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [r[k:] for r in rows]
+
+
+def _max_lattice_nelder_mead(p: MultiPoly) -> tuple[float, np.ndarray]:
+    n = p.num_vars
+    grid = barycentric_lattice(n, default_grid_depth(n))
     vals = p.eval_many(grid)
     best_val = float(vals.max())
     best_pt = grid[int(vals.argmax())]
@@ -203,7 +280,7 @@ def max_on_simplex(p: MultiPoly, grid_depth: int | None = None,
 
     for seed in seeds:
         res = minimize(neg, seed, method="Nelder-Mead",
-                       options={"maxiter": refine_iters, "xatol": 1e-12,
+                       options={"maxiter": _REFINE_ITERS, "xatol": 1e-12,
                                 "fatol": 1e-14})
         cand = project_to_simplex(res.x)
         v = float(p.eval_many(cand))

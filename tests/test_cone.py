@@ -219,6 +219,21 @@ class TestScaleGenerators:
         with pytest.raises(ValueError):
             scale_generators(rep)
 
+    @pytest.mark.parametrize("nkN, face_dims", [
+        # x^2, x(1 - x), (1 - x)^2 peak at x = 1, 1/2 and 0
+        ((1, 2, 0), {0: 2, 1: 1}),
+        ((2, 2, 2), {0: 33, 1: 3}),
+    ])
+    def test_debug_record(self, nkN, face_dims, caplog, capsys):
+        rep = enumerate_rays(build_inequalities(*nkN))
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
+            scale_generators(rep)
+        record, = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.generators == len(rep.rays)
+        assert record.max_face_dims == face_dims
+        assert capsys.readouterr() == ("", "")
+
 
 def test_json_round_trip(tmp_path):
     rep = enumerate_rays(build_inequalities(1, 2, 1))

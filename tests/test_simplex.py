@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simplexfold import folding, maps, simplex
-from simplexfold.polynomial import FLOAT, MultiPoly
+from simplexfold.polynomial import FLOAT, MultiPoly, monomials_upto
 
 
 class TestFaceOf:
@@ -126,6 +126,101 @@ class TestMaxOnSimplex:
             val, _ = simplex.max_on_simplex(p)
             samples = p.eval_many(simplex.sample_uniform(2, 100_000, rng))
             assert val >= samples.max() - 1e-9
+
+
+class TestQuadricMax:
+    """Degree <= 2 is solved exactly face by face; no optimizer runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_optimizer(self, monkeypatch):
+        def fail(*a, **kw):
+            raise AssertionError("Nelder-Mead ran on a quadric")
+        monkeypatch.setattr(simplex, "minimize", fail)
+
+    @pytest.mark.parametrize("n, depth", [(1, 4000), (2, 200), (3, 40)])
+    def test_dense_lattice_brute_force(self, n, depth):
+        rng = np.random.default_rng(40 + n)
+        grid = simplex.barycentric_lattice(n, depth)
+        mons = monomials_upto(n, 2)
+        for _ in range(50):
+            p = MultiPoly(n, {m: float(c) for m, c in
+                              zip(mons, rng.standard_normal(len(mons)))}, FLOAT)
+            val, arg = simplex.max_on_simplex(p)
+            lattice = p.eval_many(grid).max()
+            assert simplex.in_simplex(arg, tol=0.0)
+            assert val == p.eval_many(arg)
+            # never below a lattice point; above the best one by at most a
+            # second-order term in the lattice spacing (the maximiser's
+            # gradient along its face is zero)
+            assert lattice - 1e-12 <= val <= lattice + 50 * n / depth ** 2
+
+    def exact_max(self, p, val, point, face):
+        got_val, arg = simplex.max_on_simplex(p)
+        assert got_val == pytest.approx(val, abs=1e-15)
+        assert arg == pytest.approx(point, abs=1e-15)
+        assert simplex.face_of(arg) == frozenset(face)
+
+    def test_interior(self):
+        x, y = MultiPoly.variables(2)
+        third = Fraction(1, 3)
+        self.exact_max(1 - (x - third) ** 2 - (y - third) ** 2, 1,
+                       [1 / 3, 1 / 3], ())
+
+    def test_interior_tetrahedron(self):
+        xs = MultiPoly.variables(3)
+        p = MultiPoly.constant(3, 1)
+        for v in xs:
+            p = p - (v - Fraction(1, 4)) ** 2
+        self.exact_max(p, 1, [0.25, 0.25, 0.25], ())
+
+    def test_edge(self):
+        x, y = MultiPoly.variables(2, FLOAT)
+        self.exact_max(4 * x - 4 * x ** 2 - y, 1, [0.5, 0.0], {2})
+
+    def test_critical_point_outside_edge(self):
+        # unconstrained maximum at (1, 1); the simplex maximum is on the
+        # hypotenuse
+        x, y = MultiPoly.variables(2, FLOAT)
+        self.exact_max(-(x - 1) ** 2 - (y - 1) ** 2, -0.5, [0.5, 0.5], {3})
+
+    def test_critical_point_outside_vertex(self):
+        x, y = MultiPoly.variables(2, FLOAT)
+        self.exact_max(-(x - 2) ** 2 - y ** 2, -1, [1.0, 0.0], {2, 3})
+
+    def test_degenerate_hessian(self):
+        # (x - y)^2 has a singular Hessian (its critical set is the line
+        # x = y); the maximum 1 sits at the vertices (1, 0) and (0, 1)
+        x, y = MultiPoly.variables(2, FLOAT)
+        val, arg = simplex.max_on_simplex((x - y) ** 2)
+        assert val == 1.0
+        assert tuple(arg) in {(1.0, 0.0), (0.0, 1.0)}
+
+    def test_linear(self):
+        x, y = MultiPoly.variables(2, FLOAT)
+        self.exact_max(2 * x + 3 * y - 1, 2, [0.0, 1.0], {1, 3})
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero(self, n):
+        val, arg = simplex.max_on_simplex(MultiPoly.zero(n, FLOAT))
+        assert val == 0.0
+        assert arg.shape == (n,) and simplex.in_simplex(arg, tol=0.0)
+
+
+def test_cubic_uses_nelder_mead(monkeypatch):
+    calls = []
+    real = simplex.minimize
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(simplex, "minimize", counting)
+    x, y = MultiPoly.variables(2, FLOAT)
+    # 27 x y (1 - x - y) peaks at 1 at the centroid
+    val, arg = simplex.max_on_simplex(27 * x * y * (1 - x - y))
+    assert calls
+    assert val == pytest.approx(1.0, abs=1e-9)
+    assert arg == pytest.approx([1 / 3, 1 / 3], abs=1e-5)
 
 
 def test_project_to_simplex():
