@@ -2,10 +2,11 @@
 
 A fold's components factor as l * q^2 * m with the facet factors l fixed by
 the combinatorics; matching every coefficient of 1 - sum(l q^2 m) = 0 gives
-a polynomial system in the unknown factor coefficients.  The solver runs
-deflated Newton multistarts, rounds to rationals, and re-verifies the
-identity exactly -- rediscovering the interval folds and proving the
-degree-2 two-fold of the triangle unique.
+a polynomial system in the unknown factor coefficients.  The solver follows
+every path of a total-degree homotopy to its end, rounds the real
+nonsingular endpoints to rationals, and re-verifies the identity exactly --
+rediscovering the interval folds and showing the degree-2 two-fold of the
+triangle unique among the system's isolated solutions.
 """
 
 from simplexfold import solve_fold

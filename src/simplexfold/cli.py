@@ -170,7 +170,11 @@ def cmd_solve_fold(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     template = _load_template(args)
-    solutions = folding.solve_fold(template, n_seeds=args.n_seeds)
+    try:
+        solutions = folding.solve_fold(template)
+    except folding.FoldSolveError as exc:
+        print(f"solve-fold[{template.name}]: {exc}", file=sys.stderr)
+        return 1
     payload = []
     for s in solutions:
         payload.append({
@@ -383,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--template", help="template JSON path")
     g.add_argument("--builtin", choices=sorted(folding.BUILTIN_TEMPLATES))
     p.add_argument("--out", default="solutions.json")
-    p.add_argument("--n-seeds", type=int, default=200)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_solve_fold)
 

@@ -8,9 +8,9 @@ many unknown coefficients, determined by matching every coefficient of
 
     1 - sum_i l_i * q_i^2 * m_i  =  0.
 
-The solver runs damped Newton from quasi-random multistarts on that
-coefficient system, rounds solutions to rationals and re-verifies the
-identity exactly.
+For a square system the solver follows every path of a total-degree
+homotopy, rounds the real nonsingular endpoints to rationals and re-verifies
+the identity exactly.
 
 The catalog holds the interval folds (Chebyshev maps, any degree, generated
 from the T_d recurrence) and the two-simplex folds f1, f2, f4 = f2 o f2,
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _newton, maps, simplex
+from . import _newton, maps, sampler, simplex
 from .polynomial import (EXACT, FLOAT, MultiPoly, divide_by_linear,
                          gradedlex_key, linear_form, monomials_upto)
 
@@ -450,24 +450,7 @@ class FoldSolution:
 
 
 class FoldSolveError(RuntimeError):
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
-
-
-def _rd_box_seeds(dim: int, count: int, half_width: float) -> np.ndarray:
-    """Deterministic R_d low-discrepancy seeds in [-w, w]^dim."""
-    phi = 2.0
-    for _ in range(64):
-        phi = (1 + phi) ** (1.0 / (dim + 1))
-    alphas = np.array([(1.0 / phi) ** (i + 1) for i in range(dim)])
-    j = np.arange(1, count + 1)[:, None]
-    u = np.mod(0.5 + j * alphas[None, :], 1.0)
-    return (2 * u - 1) * half_width
-
-
-def _coeff_vector(p: MultiPoly, basis) -> np.ndarray:
-    return np.array([float(p.terms.get(b, 0.0)) for b in basis])
+    """The template is not square, or no homotopy path ends at a finite root."""
 
 
 def assemble_map(template: FoldTemplate, params, label: str = "") -> maps.SimplexMap:
@@ -543,13 +526,15 @@ def _crease_structure_ok(template: FoldTemplate, params) -> bool:
 
 
 class _CompiledTemplate:
-    """Tensor form of the residual for the solver's inner loop.
+    """Tensor form of the residual for the homotopy's inner loop.
 
     Each factor's coefficient vector is affine in theta (q = Q0 + QM theta),
     and the coefficient vector of l * q^2 * m is trilinear in those vectors,
     encoded once as a dense tensor T[out, a, b, c].  Residual and Jacobian
-    evaluations then reduce to einsums, which is what makes the deflation
-    sweeps affordable.
+    evaluations then reduce to batched einsums, in float or complex
+    arithmetic, following the dtype of theta.  `degrees[o]` is the total
+    degree in theta of equation o read off T: the largest number of
+    theta-dependent factors over the nonzero entries T[o, a, b, c].
     """
 
     def __init__(self, template: FoldTemplate):
@@ -560,6 +545,7 @@ class _CompiledTemplate:
         self.const_vec[index[(0,) * template.n]] = 1.0
         P = template.n_params
         self.parts = []
+        self.degrees = np.zeros(len(self.basis), dtype=int)
         for li, qi, mi in zip(template.l, template.q, template.m):
             qs = sorted({e for e in qi.fixed.terms}
                         | {e for _, p in qi.terms for e in p.terms},
@@ -586,12 +572,20 @@ class _CompiledTemplate:
                                         in zip(lexp, ea, eb, ec))
                             T[index[out], a, b, c] += float(lc)
             self.parts.append((T, Q0, QM, M0, MM))
+            qdep, mdep = QM.any(axis=1), MM.any(axis=1)
+            dep = (qdep[:, None, None].astype(int) + qdep[None, :, None]
+                   + mdep[None, None, :])
+            for o in range(len(self.basis)):
+                nz = T[o] != 0
+                if nz.any():
+                    self.degrees[o] = max(self.degrees[o], dep[nz].max())
 
     def residual_vec(self, theta) -> np.ndarray:
         return self.residual_batch(np.asarray(theta, dtype=float)[None, :])[0]
 
     def residual_batch(self, theta: np.ndarray) -> np.ndarray:
-        v = np.broadcast_to(self.const_vec, (theta.shape[0], len(self.basis))).copy()
+        v = np.broadcast_to(self.const_vec, (theta.shape[0], len(self.basis))
+                            ).astype(np.result_type(theta, float))
         for T, Q0, QM, M0, MM in self.parts:
             qv = Q0 + theta @ QM.T
             mv = M0 + theta @ MM.T
@@ -600,7 +594,8 @@ class _CompiledTemplate:
 
     def jacobian_batch(self, theta: np.ndarray) -> np.ndarray:
         P = self.template.n_params
-        J = np.zeros((theta.shape[0], len(self.basis), P))
+        J = np.zeros((theta.shape[0], len(self.basis), P),
+                     dtype=np.result_type(theta, float))
         for T, Q0, QM, M0, MM in self.parts:
             qv = Q0 + theta @ QM.T
             mv = M0 + theta @ MM.T
@@ -609,177 +604,179 @@ class _CompiledTemplate:
         return J
 
 
-def _deflation_factor(theta: np.ndarray, K: np.ndarray):
-    """Per-row deflation factor D = prod_s(1/|theta-s|^2 + 1) over the rows s
-    of K, returned with its terms (diff, r2, fac) for the gradient."""
-    diff = theta[:, None, :] - K[None, :, :]
-    r2 = np.maximum((diff ** 2).sum(axis=2), 1e-300)
-    fac = 1.0 / r2 + 1.0
-    return fac.prod(axis=1), diff, r2, fac
+# A nonsingular endpoint has max |F| <= RESIDUAL_TOL and sigma_min/sigma_max
+# of F's Jacobian > COND_TOL.  Double precision locates a double root only to
+# about sqrt(eps) = 1.5e-8, where that ratio reads about 1e-8; the folds of
+# interval:2..6 and twofold2d read 7e-5 or more.
+RESIDUAL_TOL = 1e-10
+COND_TOL = 1e-6
+DEDUP_TOL = 1e-8
+MAX_DENOMINATOR = 10 ** 6
+MEMBERSHIP_MODE = "sampled"
+
+# gamma comes from one fixed key, so solve_fold's outputs depend on no seed
+_GAMMA_KEY = 0x70D
+_STEP_START = 0.01
+_STEP_MAX = 0.1
+_STEP_MIN = 1e-14
+_NEAR_ONE = 1e-6
+_INFINITE = 1e8
+# a path stopped near t = 1 whose |theta| grows like (1 - t)^-p, p > this
+_DIVERGING = 0.25
+# Newton converges only linearly to a singular root, halving the distance
+# per step: enough steps to bring a path stopped at 1 - t = _NEAR_ONE to the
+# precision floor, so that its Jacobian ratio reads singular
+_POLISH_STEPS = 16
+_MAX_STEPS = 5000
 
 
-def _deflation_batch(theta: np.ndarray, K: np.ndarray):
-    """Per-row deflation factor D and the gradient of log D."""
-    D, diff, r2, fac = _deflation_factor(theta, K)
-    grad_log = ((-2.0 * diff / (r2 * r2)[:, :, None]) / fac[:, :, None]).sum(axis=1)
-    return D, grad_log
+def _gamma(key: int) -> complex:
+    return complex(np.exp(2j * np.pi * sampler.make_rng(key).random()))
 
 
-def _deflation_points(ft: _CompiledTemplate, known: list[np.ndarray],
-                      residual_tol: float) -> np.ndarray:
-    """One deflation point per distinct root of `known`, kept in order.
+def _newton_step(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched A^-1 b; NaN in the rows whose matrix is exactly singular."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan, dtype=np.result_type(A, b))
+        for i in range(len(A)):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    A root joins an earlier kept point when the residual at their midpoint
-    is itself a root (max |residual| <= residual_tol, the harvest test).
-    That merges the near-copies one sweep harvests around a root, including
-    the wide clusters around singular roots, and never merges two roots
-    that a non-root separates.
+
+def _track_paths(ft: _CompiledTemplate, gamma: complex):
+    """Every path of the total-degree homotopy, tracked in lockstep.
+
+    H(theta, t) = (1 - t) gamma G(theta) + t F(theta), G_i = theta_i^d_i - 1
+    with d_i = ft.degrees[i], starts at t = 0 from the prod(d_i) points whose
+    coordinates are roots of unity.  Each step is an RK4 predictor on
+    dtheta/dt = -H_theta^-1 H_t and three Newton correctors at the new t; a
+    step is kept when the correctors converge, which doubles the path's step,
+    and otherwise halved.  A path ends at t = 1; near it, where a step fails
+    within _NEAR_ONE of t = 1 (a singular root, or infinity); at infinity,
+    where |theta| passes _INFINITE; or, failed, where its step collapses
+    earlier or _MAX_STEPS run out.  Finite endpoints are polished by Newton
+    on F.  Returns (endpoints, kind), kind in {"nonsingular", "singular",
+    "infinite", "failed"} per path.
     """
-    kept = np.empty((0, ft.template.n_params))
-    for t in known:
-        mid = (kept + t) / 2
-        if not (np.abs(ft.residual_batch(mid)).max(axis=1) <= residual_tol).any():
-            kept = np.vstack([kept, t])
-    return kept
+    d = ft.degrees
+    P = len(d)
+    units = [np.exp(2j * np.pi * np.arange(di) / di) for di in d]
+    theta = np.stack(np.meshgrid(*units, indexing="ij"), axis=-1).reshape(-1, P)
+    B = len(theta)
+    t = np.zeros(B)
+    step = np.full(B, _STEP_START)
+    running = np.ones(B, dtype=bool)
+    infinite = np.zeros(B, dtype=bool)
+    stalled = np.zeros(B, dtype=bool)
 
+    def system(th, tt):
+        """H, H_theta and H_t at (th, tt)."""
+        F, JF = ft.residual_batch(th), ft.jacobian_batch(th)
+        s = (1 - tt)[:, None] * gamma
+        G = th ** d - 1
+        Hx = tt[:, None, None] * JF
+        Hx[:, np.arange(P), np.arange(P)] += s * d * th ** (d - 1)
+        return s * G + tt[:, None] * F, Hx, F - gamma * G
 
-def _deflated_sweep(ft: _CompiledTemplate, seeds: np.ndarray, known: list[np.ndarray],
-                    residual_tol: float, known_tol: float, max_iter: int):
-    """Damped Newton on the deflated system from every seed in lockstep.
+    def velocity(th, tt):
+        _, Hx, Ht = system(th, tt)
+        return -_newton_step(Hx, Ht)
 
-    Each distinct root of `known` is deflated once (`_deflation_points`).
-    Damping halves the step while the deflated residual grows, evaluating
-    only the deflation factor at each trial point, but falls back to the
-    full step when thirty halvings fail, which lets iterates escape shallow
-    least-squares valleys instead of dying in them.  A converged row is
-    harvested unless it lies within known_tol of a root in `known`.
-    Returns (new roots found this sweep, best residual norm seen, counts),
-    where counts holds the sweep's seeds, converged rows, rows retired as
-    non-finite or above 1e14, rows that used up every halving at least
-    once, harvested roots and deflation points.
-    """
-    K = _deflation_points(ft, known, residual_tol)
-    theta = seeds.copy()
-    alive = np.ones(theta.shape[0], dtype=bool)
-    exhausted = np.zeros(theta.shape[0], dtype=bool)
-    best = np.inf
-    roots: list[np.ndarray] = []
-    converged = retired = 0
-
-    def harvest():
-        nonlocal best, converged
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return
-        rn = np.abs(ft.residual_batch(theta[idx])).max(axis=1)
-        best = min(best, float(rn.min()) if rn.size else np.inf)
-        done = rn <= residual_tol
-        for i in idx[done]:
-            t = theta[i]
-            if all(np.linalg.norm(t - s) > known_tol for s in known):
-                roots.append(t.copy())
-        alive[idx[done]] = False
-        converged += int(done.sum())
-
-    for _ in range(max_iter):
-        harvest()
-        idx = np.flatnonzero(alive)
+    for _ in range(_MAX_STEPS):
+        idx = np.flatnonzero(running)
         if idx.size == 0:
             break
-        th = theta[idx]
-        r = ft.residual_batch(th)
-        D, grad_log = _deflation_batch(th, K)
-        g = D[:, None] * r
-        Jg = D[:, None, None] * ft.jacobian_batch(th) + g[:, :, None] * grad_log[:, None, :]
-        bad = ~np.isfinite(g).all(axis=1) | (np.abs(g).max(axis=1) > 1e14) \
-            | ~np.isfinite(Jg).reshape(len(th), -1).all(axis=1)
-        alive[idx[bad]] = False
-        retired += int(bad.sum())
-        good = ~bad
-        idx, th, g, Jg = idx[good], th[good], g[good], Jg[good]
-        if idx.size == 0:
-            continue
-        step = np.einsum("spo,so->sp", np.linalg.pinv(Jg), g)
-        fin = np.isfinite(step).all(axis=1)
-        alive[idx[~fin]] = False
-        retired += int((~fin).sum())
-        idx, th, g, step = idx[fin], th[fin], g[fin], step[fin]
-        if idx.size == 0:
-            continue
-        gn = np.abs(g).max(axis=1)
-        lam = np.ones(idx.size)
-        pending = np.ones(idx.size, dtype=bool)
-        newt = th - step
-        for _h in range(31):
-            p = np.flatnonzero(pending)
-            if p.size == 0:
-                break
-            cand = th[p] - lam[p, None] * step[p]
-            Dc = _deflation_factor(cand, K)[0]
-            gn2 = np.abs(Dc[:, None] * ft.residual_batch(cand)).max(axis=1)
-            acc = gn2 < gn[p]
-            newt[p[acc]] = cand[acc]
-            pending[p[acc]] = False
-            lam[p[~acc]] /= 2
-        # rows with no residual-reducing step take the full step anyway
-        exhausted[idx[pending]] = True
-        theta[idx] = newt
-    harvest()
-    counts = {"seeds": len(seeds), "converged": converged, "retired": retired,
-              "exhausted": int(exhausted.sum()), "harvested": len(roots),
-              "deflated": len(K)}
-    return roots, best, counts
+        th, tt = theta[idx], t[idx]
+        h = np.minimum(step[idx], 1 - tt)
+        hc = h[:, None]
+        with np.errstate(all="ignore"):
+            k1 = velocity(th, tt)
+            k2 = velocity(th + hc / 2 * k1, tt + h / 2)
+            k3 = velocity(th + hc / 2 * k2, tt + h / 2)
+            k4 = velocity(th + hc * k3, tt + h)
+            x = th + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t1 = np.where(h == 1 - tt, 1.0, tt + h)
+            corr = []
+            for _c in range(3):
+                Hv, Hx, _ = system(x, t1)
+                dx = _newton_step(Hx, Hv)
+                x = x - dx
+                corr.append(np.abs(dx).max(axis=1))
+            scale = 1 + np.abs(x).max(axis=1)
+            ok = (np.isfinite(x).all(axis=1) & (corr[0] <= 1e-3 * scale)
+                  & (corr[2] <= 1e-10 * scale))
+        acc, rej = idx[ok], idx[~ok]
+        theta[acc], t[acc] = x[ok], t1[ok]
+        step[acc] = np.minimum(2 * step[acc], _STEP_MAX)
+        step[rej] /= 2
+        infinite[acc] = np.abs(x[ok]).max(axis=1) > _INFINITE
+        stalled[rej[(step[rej] < _STEP_MIN) | (1 - t[rej] <= _NEAR_ONE)]] = True
+        running[idx] = ~(infinite[idx] | stalled[idx] | (t[idx] == 1.0))
+
+    # A path stopped near t = 1 heads to infinity when |theta| grows like a
+    # power of 1 - t there: estimate that power from the path's velocity.
+    end = stalled & (1 - t <= _NEAR_ONE)
+    with np.errstate(all="ignore"):
+        v = velocity(theta[end], t[end])
+    growth = (1 - t[end]) * np.abs(v).max(axis=1) / (1 + np.abs(theta[end]).max(axis=1))
+    infinite[np.flatnonzero(end)[~(growth <= _DIVERGING)]] = True
+    finite = ~infinite & ((t == 1.0) | end)
+    x = theta[finite]
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_STEPS):
+            nxt = x - _newton_step(ft.jacobian_batch(x), ft.residual_batch(x))
+            x = np.where(np.isfinite(nxt).all(axis=1)[:, None], nxt, x)
+        resid = np.abs(ft.residual_batch(x)).max(axis=1)
+        sv = np.linalg.svd(ft.jacobian_batch(x), compute_uv=False)
+    theta[finite] = x
+    kind = np.full(B, "failed", dtype="U11")
+    kind[infinite] = "infinite"
+    kind[finite] = np.where((resid <= RESIDUAL_TOL) & (sv[:, -1] > COND_TOL * sv[:, 0]),
+                            "nonsingular", "singular")
+    return theta, kind
 
 
-def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
-               seed_half_width: float = 5.0, residual_tol: float = 1e-10,
-               dedup_tol: float = 1e-8, newton_iters: int = 150,
-               max_sweeps: int = 4, max_denominator: int = 10 ** 6,
-               membership_mode: str = "sampled") -> list[FoldSolution]:
-    """Coefficient-matched fold solutions of the template.
+def solve_fold(template: FoldTemplate) -> list[FoldSolution]:
+    """Coefficient-matched fold solutions of a square template.
 
-    Damped Newton runs from quasi-random multistarts; once a sweep over all
-    seeds stops producing new roots, known roots are deflated out of the
-    system and the sweep repeats, so solutions whose basins barely touch the
-    seed box (fold coefficients grow like 2^k) still surface.  Every root
-    harvested so far is kept, but each distinct root is deflated only once,
-    and the line search evaluates only the deflation factor.  Converged
-    parameters are sign-gauge canonicalized, deduplicated, rounded to
-    rationals and re-verified exactly, then filtered by sign constraints,
-    crease structure and map membership.  One DEBUG record on
-    `simplexfold.folding` gives each sweep's counts and the candidates each
-    step dropped.  Raises FoldSolveError when no seed converges at all; an
-    empty list after filtering means the template has no feasible fold.
+    The coefficient system has as many equations as unknowns; a template
+    that does not raises FoldSolveError before any numeric work.  A
+    total-degree homotopy (Morgan 1987) follows each of the system's Bezout
+    number of paths to its end, and every nonsingular solution ends exactly
+    one path.  The real nonsingular endpoints are sign-gauge canonicalized,
+    deduplicated, rounded to rationals and re-verified exactly, then
+    filtered by sign constraints, crease structure and map membership.  One
+    DEBUG record on `simplexfold.folding` counts the paths by how they ended
+    (nonsingular, singular, infinite, failed; the four sum to `bezout`), the
+    real nonsingular endpoints and the candidates each filter dropped.
+    Raises FoldSolveError when no path ends at a finite root; an empty list
+    means the template has no feasible fold.
     """
+    n_eq = len(monomials_upto(template.n, template.k))
+    if n_eq != template.n_params:
+        raise FoldSolveError(
+            f"template {template.name!r} is not square: {n_eq} equations in "
+            f"{template.n_params} unknowns")
     ft = _CompiledTemplate(template)
-    P = template.n_params
-    seed_list = [np.asarray(s, dtype=float) for s in (seeds or [])]
-    seed_list += list(_rd_box_seeds(P, n_seeds, seed_half_width))
-    seed_arr = np.array(seed_list)
-
-    known: list[np.ndarray] = []
-    best = np.inf
-    sweeps = []
-    for _sweep in range(max_sweeps):
-        roots, rn, counts = _deflated_sweep(ft, seed_arr, known, residual_tol,
-                                            known_tol=1e-6, max_iter=newton_iters)
-        sweeps.append(counts)
-        best = min(best, rn)
-        fresh = []
-        for t in roots:
-            if all(np.linalg.norm(t - s) > 1e-6 for s in known + fresh):
-                fresh.append(t)
-        if not fresh:
-            break
-        known.extend(fresh)
-
-    converged = [_canonicalize_q_signs(template, t) for t in known]
-    converged = _newton.dedup_points(np.array(converged), dedup_tol)
+    ends, kind = _track_paths(ft, _gamma(_GAMMA_KEY))
+    counts = {k: int((kind == k).sum())
+              for k in ("nonsingular", "singular", "infinite", "failed")}
+    good = ends[kind == "nonsingular"]
+    real = good[np.abs(good.imag).max(axis=1)
+                <= 1e-8 * (1 + np.abs(good).max(axis=1))].real
+    known = np.array([_canonicalize_q_signs(template, t) for t in real]
+                     ).reshape(-1, template.n_params)
+    converged = _newton.dedup_points(known, DEDUP_TOL)
     dropped = {"dedup": len(known) - len(converged), "sign": 0, "crease": 0,
                "membership": 0}
     solutions = []
     for theta in converged:
-        exact_params = [Fraction(v).limit_denominator(max_denominator) for v in theta]
+        exact_params = [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in theta]
         exact = residual(template, exact_params).is_zero()
         params = tuple(exact_params) if exact else tuple(float(v) for v in theta)
         rnorm = 0.0 if exact else float(np.abs(ft.residual_vec(theta)).max())
@@ -790,7 +787,7 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
             dropped["crease"] += 1
             continue
         fmap = assemble_map(template, list(params))
-        if not maps.membership_check(fmap.to_float(), mode=membership_mode).ok:
+        if not maps.membership_check(fmap.to_float(), mode=MEMBERSHIP_MODE).ok:
             dropped["membership"] += 1
             continue
         mode = _params_mode(list(params))
@@ -799,16 +796,14 @@ def solve_fold(template: FoldTemplate, seeds=None, *, n_seeds: int = 200,
             tuple(q.instantiate(list(params), mode) for q in template.q),
             tuple(m.instantiate(list(params), mode) for m in template.m)))
     solutions.sort(key=lambda s: tuple(map(float, s.params)))
-    log.debug("solve_fold(%s): sweeps %s, %d roots known, dropped %s, "
-              "%d solutions", template.name, sweeps, len(known), dropped,
-              len(solutions),
-              extra={"template": template.name, "sweeps": sweeps,
-                     "known": len(known), "dropped": dropped,
+    log.debug("solve_fold(%s): %d paths %s, %d real, dropped %s, %d solutions",
+              template.name, len(kind), counts, len(real), dropped, len(solutions),
+              extra={"template": template.name, "bezout": len(kind), **counts,
+                     "real": len(real), "dropped": dropped,
                      "solutions": len(solutions)})
-    if not known:
-        raise FoldSolveError(
-            f"no converged solutions for template {template.name!r} "
-            f"(best residual {best:.3e})", best_residual=best)
+    if counts["nonsingular"] + counts["singular"] == 0:
+        raise FoldSolveError(f"no homotopy path for template {template.name!r} "
+                             f"ended at a finite root: {counts}")
     return solutions
 
 

@@ -70,6 +70,13 @@ class TestSolveFold:
         data = json.loads(out.read_text())
         assert len(data["solutions"]) == 1
 
+    def test_non_square_builtin_fails(self, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        assert run(["solve-fold", "--builtin", "ninefold2d",
+                    "--out", str(out), "--seed", "0"]) != 0
+        assert "55 equations in 63 unknowns" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyFold:
     def test_catalog_ok(self, tmp_path):

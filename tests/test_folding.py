@@ -1,13 +1,14 @@
 import logging
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from simplexfold import folding, maps, simplex
-from simplexfold.folding import (FoldSolveError, catalog, catalog_factors,
-                                 fold_order, preimage_count, residual,
-                                 solve_fold, verify_factorization)
+from simplexfold.folding import (FoldSolveError, ParamPoly, catalog,
+                                 catalog_factors, fold_order, preimage_count,
+                                 residual, solve_fold, verify_factorization)
 from simplexfold.polynomial import MultiPoly
 
 
@@ -179,10 +180,28 @@ class TestSolveFold:
         assert sols[0].exact
         assert sols[0].params == tuple(Fraction(v) for v in (1, 1, 1, 1, 1, 4))
 
-    def test_no_convergence_raises(self):
-        tpl = folding.interval_fold_template(2)
-        with pytest.raises(FoldSolveError):
-            solve_fold(tpl, n_seeds=1, newton_iters=1, max_sweeps=1)
+    def test_no_convergence_raises(self, caplog):
+        # 1 - x m_1 - (1 - x) m_2 = x - (a + b): its x coefficient reads
+        # 1 = 0, so the one homotopy path diverges
+        one, x = MultiPoly.constant(1, 1), MultiPoly.variable(1, 0)
+        s = ((0, one), (1, one))
+        tpl = folding.FoldTemplate(
+            1, 1, "inconsistent", ((1, 1), (2, 2)), ((0, 0), (0, 0)),
+            (x, 1 - x), (ParamPoly.fixed_one(1), ParamPoly.fixed_one(1)),
+            (ParamPoly(MultiPoly.zero(1), s), ParamPoly(one, s)),
+            2, ("a", "b")).validate()
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
+            with pytest.raises(FoldSolveError, match="finite root"):
+                solve_fold(tpl)
+        record, = caplog.records
+        assert (record.bezout, record.infinite) == (1, 1)
+
+    def test_non_square_template_fails_fast(self):
+        tpl = folding.two_simplex_ninefold_template()
+        t0 = time.perf_counter()
+        with pytest.raises(FoldSolveError, match="55 equations in 63 unknowns"):
+            solve_fold(tpl)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_debug_record(self, caplog, capsys):
         with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
@@ -190,62 +209,68 @@ class TestSolveFold:
         record, = caplog.records
         assert record.levelno == logging.DEBUG
         assert record.template == "interval:2"
-        first = record.sweeps[0]
-        assert first["seeds"] == 200 and first["deflated"] == 0
-        assert first["converged"] == first["harvested"] == 200
-        # the second sweep deflates the four roots the first one left
-        assert record.known == record.sweeps[1]["deflated"] == 4
-        assert record.sweeps[-1]["harvested"] == 0
-        for counts in record.sweeps:
-            assert set(counts) == {"seeds", "converged", "retired",
-                                   "exhausted", "harvested", "deflated"}
+        assert record.bezout == 8
+        assert (record.nonsingular + record.singular + record.infinite
+                + record.failed) == 8
+        assert record.failed == 0
+        # the logistic map's four sign-gauge copies
+        assert record.real == 4
         assert set(record.dropped) == {"dedup", "sign", "crease", "membership"}
-        assert record.known - sum(record.dropped.values()) == record.solutions
+        assert record.real - sum(record.dropped.values()) == record.solutions
         assert record.solutions == len(sols) == 1
         assert capsys.readouterr() == ("", "")
 
 
-class TestDeflation:
-    @pytest.mark.parametrize("k", [0, 1, 7, 60])
-    def test_line_search_factor_is_batch_factor(self, k):
-        rng = np.random.default_rng(k)
-        theta = rng.normal(scale=3, size=(50, 5))
-        K = rng.normal(scale=3, size=(k, 5))
-        K[:min(k, 3)] = theta[:min(k, 3)]      # r2 clipped at 1e-300
-        with np.errstate(invalid="ignore"):     # 0/0 in those rows' gradient
-            D, _ = folding._deflation_batch(theta, K)
-        factor = folding._deflation_factor(theta, K)[0]
-        assert factor.tobytes() == D.tobytes()
-        if k == 0:
-            assert (factor == 1.0).all()
+class TestHomotopy:
+    def test_degrees_from_tensor(self):
+        ft = folding._CompiledTemplate(folding.two_simplex_twofold_template())
+        assert ft.degrees.tolist() == [1, 1, 1, 1, 2, 3]
+        for d in range(1, 7):
+            ft = folding._CompiledTemplate(folding.interval_fold_template(d))
+            assert ft.degrees.tolist() == [1 if d == 1 else 2] * (d + 1)
 
-    def test_distinct_roots_stay_apart(self):
-        # interval:2's degenerate root, the logistic map and its sign copy:
-        # every midpoint is a non-root
-        ft = folding._CompiledTemplate(folding.interval_fold_template(2))
-        roots = [np.array([0.0, 1.0, 0.0]), np.array([4.0, 1.0, -2.0]),
-                 np.array([4.0, -1.0, 2.0])]
-        K = folding._deflation_points(ft, roots, 1e-10)
-        assert K.tobytes() == np.array(roots).tobytes()
+    @pytest.mark.parametrize("name, bezout, real", [
+        ("interval:1", 1, 1), ("interval:2", 8, 4), ("interval:3", 16, 4),
+        ("interval:4", 32, 4), ("interval:5", 64, 4), ("interval:6", 128, 4),
+        ("twofold2d", 6, 2)])
+    def test_every_path_accounted(self, name, bezout, real, caplog):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
+            solve_fold(folding.BUILTIN_TEMPLATES[name]())
+        record, = caplog.records
+        assert record.bezout == bezout
+        assert (record.nonsingular + record.singular + record.infinite
+                + record.failed) == bezout
+        assert record.failed == 0
+        assert record.real == real
 
-    def test_sweep_harvest_merges(self):
-        tpl = folding.interval_fold_template(3)
-        ft = folding._CompiledTemplate(tpl)
-        seeds = folding._rd_box_seeds(tpl.n_params, 200, 5.0)
-        roots, _, counts = folding._deflated_sweep(ft, seeds, [], 1e-10, 1e-6, 150)
-        assert counts["harvested"] == len(roots)
-        known = []                              # solve_fold's 1e-6 merge
-        for t in roots:
-            if all(np.linalg.norm(t - s) > 1e-6 for s in known):
-                known.append(t)
-        assert len(known) == 57
-        K = folding._deflation_points(ft, known, 1e-10)
-        assert len(K) <= 16
-        assert np.abs(K - [3, -4, 1, -4]).max(axis=1).min() <= 1e-8
-        # every harvested root has a kept point it merged into
-        mids = (K[None, :, :] + np.array(known)[:, None, :]) / 2
-        rn = np.abs(ft.residual_batch(mids.reshape(-1, tpl.n_params))).max(axis=1)
-        assert (rn.reshape(len(known), len(K)) <= 1e-10).any(axis=1).all()
+    def test_threefold_endpoints_are_gauge_copies(self):
+        ft = folding._CompiledTemplate(folding.interval_fold_template(3))
+        ends, kind = folding._track_paths(ft, folding._gamma(folding._GAMMA_KEY))
+        got = ends[kind == "nonsingular"]
+        assert np.abs(got.imag).max() <= 1e-8
+        want = sorted((3 * a, -4 * a, b, -4 * b) for a in (1, -1) for b in (1, -1))
+        assert np.abs(np.array(sorted(map(tuple, got.real))) - want).max() <= 1e-8
+
+    @pytest.mark.parametrize("name", ["interval:3", "twofold2d"])
+    def test_solutions_do_not_depend_on_gamma(self, name, monkeypatch):
+        keys = (1, 2, 3)
+        assert len({folding._gamma(k) for k in keys}) == 3
+        tpl = folding.BUILTIN_TEMPLATES[name]()
+        got = []
+        for key in keys:
+            monkeypatch.setattr(folding, "_GAMMA_KEY", key)
+            got.append([s.params for s in solve_fold(tpl)])
+        assert len(got[0]) == 1 and got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("name", ["interval:2", "interval:5", "twofold2d"])
+    def test_complex_theta_with_zero_imaginary_part(self, name):
+        ft = folding._CompiledTemplate(folding.BUILTIN_TEMPLATES[name]())
+        theta = np.random.default_rng(0).normal(scale=3, size=(20, ft.template.n_params))
+        for fn in (ft.residual_batch, ft.jacobian_batch):
+            real, cplx = fn(theta), fn(theta + 0j)
+            assert real.dtype == np.float64 and cplx.dtype == np.complex128
+            assert cplx.real.tobytes() == real.tobytes()
+            assert not cplx.imag.any()
 
 
 class TestPreimageCount:
