@@ -4,14 +4,25 @@ All multistart root searches in the package (fixed points, preimages)
 funnel through here: seeds advance in lockstep as numpy batches, each row
 owning its own damping factor, and rows die when their Jacobian goes
 singular or thirty halvings fail to reduce the residual.
+
+Each iteration tries the full step on every working row in one F call.  The
+rows it fails try the halved steps 2^-1, 2^-2, ... in blocks, one F call
+per block over every pending row and several step lengths, never more rows
+than there are seeds; a row takes the first step length that passes.  F is
+evaluated row by row, so the iterates are those of halving one step at a
+time, bit for bit.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
 from . import simplex
 from .maps import SimplexMap
+
+log = logging.getLogger(__name__)
 
 
 class MapSystem:
@@ -38,55 +49,66 @@ def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
                  max_iter: int = 80, max_halvings: int = 30):
     """Damped Newton from every seed at once.
 
-    F maps (m, n) -> (m, n) residuals, J maps (m, n) -> (m, n, n).
-    Returns (points, residual_norms) for the seeds that converged.
+    F maps (m, n) -> (m, n) residuals row by row, J maps (m, n) -> (m, n, n).
+    Returns (points, residual_norms, dropped) for the seeds that converged;
+    dropped counts the others by reason: "singular" (Jacobian determinant
+    below 1e-300), "halvings_exhausted" (no step length 2^-h, h <= max_halvings,
+    reduced the residual) and "max_iter" (still above residual_tol).
     """
     X = np.array(seeds, dtype=float)
-    m = X.shape[0]
+    m, n = X.shape
+    G = F(X)
+    rn = np.abs(G).max(axis=1)
     alive = np.ones(m, dtype=bool)
-    rn = np.abs(F(X)).max(axis=1)
+    dropped = {"singular": 0, "halvings_exhausted": 0, "max_iter": 0}
     for _ in range(max_iter):
         work = np.flatnonzero(alive & (rn > residual_tol))
         if work.size == 0:
             break
         Jw = J(X[work])
-        Gw = F(X[work])
-        dets = np.abs(np.linalg.det(Jw))
-        ok = dets > 1e-300
+        ok = np.abs(np.linalg.det(Jw)) > 1e-300
         alive[work[~ok]] = False
+        dropped["singular"] += int(work.size - ok.sum())
         work = work[ok]
         if work.size == 0:
             continue
-        delta = np.linalg.solve(Jw[ok], Gw[ok][..., None])[..., 0]
-        lam = np.ones(work.size)
-        pending = np.ones(work.size, dtype=bool)
-        for _h in range(max_halvings + 1):
-            p = np.flatnonzero(pending)
-            if p.size == 0:
-                break
-            cand = X[work[p]] - lam[p, None] * delta[p]
-            rn2 = np.abs(F(cand)).max(axis=1)
-            good = (rn2 < rn[work[p]]) | (rn2 <= residual_tol)
-            X[work[p[good]]] = cand[good]
-            rn[work[p[good]]] = rn2[good]
-            pending[p[good]] = False
-            lam[p[~good]] /= 2
-        alive[work[pending]] = False
-    rn = np.abs(F(X)).max(axis=1)
+        delta = np.linalg.solve(Jw[ok], G[work][..., None])[..., 0]
+        h = 0
+        while work.size and h <= max_halvings:
+            # the full step alone, then blocks of halvings within m rows
+            width = 1 if h == 0 else min(max(1, m // work.size), max_halvings + 1 - h)
+            lam = np.ldexp(1.0, -np.arange(h, h + width))
+            cand = X[work, None, :] - lam[None, :, None] * delta[:, None, :]
+            G2 = F(cand.reshape(-1, n)).reshape(work.size, width, n)
+            rn2 = np.abs(G2).max(axis=2)
+            good = (rn2 < rn[work, None]) | (rn2 <= residual_tol)
+            found = good.any(axis=1)
+            first = good[found].argmax(axis=1)
+            rows = work[found]
+            X[rows], G[rows], rn[rows] = cand[found, first], G2[found, first], rn2[found, first]
+            work, delta = work[~found], delta[~found]
+            h += width
+        alive[work] = False
+        dropped["halvings_exhausted"] += int(work.size)
     conv = alive & (rn <= residual_tol)
-    return X[conv], rn[conv]
+    dropped["max_iter"] = int(np.count_nonzero(alive & ~conv))
+    return X[conv], rn[conv], dropped
 
 
 def dedup_points(points: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy dedup at Euclidean tolerance; lexicographic order for determinism."""
+    """Greedy dedup at Euclidean tolerance; lexicographic order for determinism.
+
+    Walks the points in lexicographic order and keeps each one farther
+    than tol from every point kept before it; each round keeps the first
+    remaining point and drops every point within tol of it at once.
+    """
     if len(points) == 0:
         return points
-    order = np.lexsort(points.T[::-1])
-    kept: list[np.ndarray] = []
-    for i in order:
-        p = points[i]
-        if all(np.linalg.norm(p - q) > tol for q in kept):
-            kept.append(p)
+    rest = points[np.lexsort(points.T[::-1])]
+    kept = []
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[np.linalg.norm(rest - rest[0], axis=1) > tol]
     return np.array(kept)
 
 
@@ -131,8 +153,12 @@ def solve_on_simplex(f: SimplexMap, target=None, seeds: np.ndarray | None = None
         if rng is None:
             rng = np.random.Generator(np.random.Philox(key=0))
         seeds = default_seeds(f.n, lattice_target, n_random, rng)
-    pts, _ = newton_batch(F, J, seeds, residual_tol=residual_tol)
-    if len(pts) == 0:
-        return np.zeros((0, f.n))
+    pts, _, dropped = newton_batch(F, J, seeds, residual_tol=residual_tol)
     inside = (pts.min(axis=1) >= -inclusion_tol) & (pts.sum(axis=1) <= 1 + inclusion_tol)
-    return dedup_points(pts[inside], dedup_tol)
+    dropped["outside_simplex"] = int(np.count_nonzero(~inside))
+    kept = dedup_points(pts[inside], dedup_tol)
+    log.debug("solve_on_simplex: %d seeds, %d converged, dropped %s, %d kept",
+              len(seeds), len(pts), dropped, len(kept),
+              extra={"seeds": len(seeds), "converged": len(pts), **dropped,
+                     "kept": len(kept)})
+    return kept

@@ -6,6 +6,12 @@ positive, where P_H is the degree-k homogenization.  Scanning N upward
 yields a certificate; a dense sample scan supplies cheap negative
 witnesses before the exact expansion work starts.
 
+The scan runs in integers: P_H is scaled by the lcm of its denominators
+(a positive scale keeps every sign), and the coefficients of L^N * P_H sit
+on a dense grid of Python ints indexed by the first n exponents, the last
+one being N + k minus their sum.  Multiplying by L adds the grid to its
+n unit shifts.
+
 Certificates demand strictly positive coefficients: a polynomial that
 merely touches zero on the simplex (like (1-2x)^2) stays indeterminate at
 every N.
@@ -16,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
 from . import simplex
-from .polynomial import EXACT, MultiPoly, homogenize, linear_form
+from .polynomial import EXACT, MultiPoly, homogenize
 
 CERTIFIED = "certified_positive"
 NEGATIVE = "negative_witness"
@@ -61,17 +67,12 @@ def _prescan_points(n: int, count: int = 10_000) -> np.ndarray:
     return np.vstack([simplex.vertices(n), grid, qmc])
 
 
-@lru_cache(maxsize=16)
-def _sample_points(n: int, count: int = 100_000) -> np.ndarray:
-    return _prescan_points(n, count)
-
-
 def polya_certify(p: MultiPoly, k: int | None = None,
                   N_max: int = DEFAULT_N_MAX) -> PolyaCertificate:
     """Scan N = 0..N_max for an all-positive Polya expansion of p.
 
     Returns the minimal certifying N, a sampled negative witness, or
-    indeterminate(N_max).  Exact arithmetic throughout the expansion; the
+    indeterminate(N_max).  Exact integer arithmetic in the expansion; the
     witness pre-scan runs in floats on ~10^4 quasi-uniform points, and its
     lowest point is a witness only if p is negative there exactly.
     """
@@ -90,14 +91,26 @@ def polya_certify(p: MultiPoly, k: int | None = None,
                                 witness_point=tuple(pts[i]),
                                 witness_value=float(vals[i]))
 
-    expansion = homogenize(p, k)
-    L = linear_form(p.num_vars + 1)
+    H = homogenize(p, k)
+    scale = lcm(*(Fraction(c).denominator for c in H.terms.values()))
     n = p.num_vars
+    # grid[b_1, ..., b_n] is the coefficient of x^b x_{n+1}^(N+k-|b|); entries
+    # with |b| > N+k stay zero, so the expansion has full support and all
+    # coefficients positive exactly when comb(N+k+n, n) entries are positive
+    grid = np.zeros((k + 1,) * n, dtype=object)
+    for exp, c in H.terms.items():
+        grid[exp[:n]] = int(c * scale)
     for N in range(N_max + 1):
-        full = comb(N + k + n, n)
-        if len(expansion.terms) == full and all(c > 0 for c in expansion.terms.values()):
+        if np.count_nonzero(grid > 0) == comb(N + k + n, n):
             return PolyaCertificate(CERTIFIED, N=N, N_max=N_max)
-        expansion = expansion * L
+        side = N + k + 1
+        # times x_{n+1}, then plus x_i times for each i
+        nxt = np.zeros((side + 1,) * n, dtype=object)
+        body = (slice(0, side),) * n
+        nxt[body] = grid
+        for i in range(n):
+            nxt[body[:i] + (slice(1, side + 1),) + body[i + 1:]] += grid
+        grid = nxt
     return PolyaCertificate(INDETERMINATE, N_max=N_max)
 
 
@@ -112,7 +125,7 @@ def nonneg_on_simplex(p: MultiPoly, mode: str = "sampled",
     N_max here; use sampled mode for those.
     """
     if mode == "sampled":
-        pts = _sample_points(p.num_vars)
+        pts = _prescan_points(p.num_vars, 100_000)
         vals = p.eval_many(pts)
         i = int(vals.argmin())
         ok = bool(vals[i] >= -tol)
