@@ -6,6 +6,7 @@ logistic map to any dimension and fold order.  This package provides:
 
   * exact sparse polynomial arithmetic (`polynomial`),
   * simplex geometry, integrals and maxima (`simplex`),
+  * fraction-free exact elimination and the Polya expansion step (`exact`),
   * Polya positivity certificates (`positivity`),
   * the map type with membership checks (`maps`),
   * finitely generated cone approximations with exact extreme-ray
@@ -20,9 +21,8 @@ logistic map to any dimension and fold order.  This package provides:
 
 __version__ = "0.1.0"
 
-from .polynomial import (EXACT, FLOAT, HomogPoly, MultiPoly, compose,
-                         divide_by_linear, evaluate, homogenize, jacobian,
-                         linear_form, normalize_degree)
+from .polynomial import (EXACT, FLOAT, HomogPoly, MultiPoly, divide_by_linear,
+                         homogenize, jacobian, linear_form, normalize_degree)
 from .simplex import (face_of, l2_distance, max_on_simplex, monomial_integral,
                       sample_uniform)
 from .positivity import PolyaCertificate, nonneg_on_simplex, polya_certify

@@ -18,11 +18,11 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb
 
 import numpy as np
 
-from . import simplex
+from . import exact, simplex
 from .polynomial import EXACT, FLOAT, MultiPoly, monomials_exact, monomials_upto
 
 Vec = tuple[int, ...]
@@ -104,25 +104,26 @@ class ConeRep:
 def build_inequalities(n: int, k: int, N: int) -> ConeRep:
     """Integer matrix of the Polya expansion coefficients.
 
-    Column alpha holds the expansion of x^alpha * L^(N+k-|alpha|); row beta
-    is the coefficient of the degree-(N+k) monomial beta, a multinomial
-    count, so the whole matrix is integral.
+    Column alpha holds the expansion of x^alpha * L^(N+k-|alpha|), built by
+    `exact.times_L` from the unit grid at alpha; row beta is the coefficient
+    of the degree-(N+k) monomial beta.  The grid's C order over
+    |b| <= N+k is the lexicographic order of `monomials_exact`.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
     basis = monomials_upto(n, k)
     rows = monomials_exact(n + 1, N + k)
-    row_pos = {b: i for i, b in enumerate(rows)}
-    A = [[0] * len(basis) for _ in rows]
-    for col, alpha in enumerate(basis):
-        m = N + k - sum(alpha)
-        for extra in monomials_exact(n + 1, m):
-            beta = tuple(alpha[i] + extra[i] for i in range(n)) + (extra[n],)
-            c = factorial(m)
-            for e in extra:
-                c //= factorial(e)
-            A[row_pos[beta]][col] += c
-    assert len(A) == comb(N + k + n, n)
+    side = N + k + 1
+    support = np.indices((side,) * n).sum(axis=0) < side
+    cols = []
+    for alpha in basis:
+        grid = np.zeros((sum(alpha) + 1,) * n, dtype=object)
+        grid[alpha] = 1
+        for _ in range(N + k - sum(alpha)):
+            grid = exact.times_L(grid)
+        cols.append(grid[support])
+    A = np.stack(cols, axis=1).tolist()
+    assert len(A) == len(rows) == comb(N + k + n, n)
     return ConeRep(n, k, N, basis, rows, [tuple(r) for r in A])
 
 
@@ -141,54 +142,24 @@ def _primitive_rows(W: np.ndarray) -> np.ndarray:
     return W // g
 
 
-def _rank(rows, dim: int) -> int:
-    m = [[Fraction(c) for c in r] for r in rows]
-    r = 0
-    for c in range(dim):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
 def _initial_simplicial(A: list[Vec], dim: int):
-    """D independent rows and the integer rays of their simplicial cone."""
-    idx, chosen = [], []
-    for i, row in enumerate(A):
-        if _rank(chosen + [row], dim) > len(chosen):
-            chosen.append(row)
-            idx.append(i)
-        if len(chosen) == dim:
-            break
-    if len(chosen) < dim:
+    """D independent rows and the integer rays of their simplicial cone.
+
+    The rows are the first independent ones, the pivot columns of A^T.
+    Reducing [chosen | I] leaves d * chosen^-1 on the right, and column j
+    of chosen^-1 meets every chosen row with slack 0 except row j, where
+    the slack is 1; the factor sign(d) keeps that slack positive.
+    """
+    idx, _ = exact.bareiss(list(zip(*A)))
+    if len(idx) < dim:
         raise ConeNotPointedError(
-            f"inequality matrix has rank {len(chosen)} < {dim}; cone contains a line")
-    # inverse over Fractions; column j of the inverse meets every chosen
-    # row with slack 0 except row j, where the slack is 1
-    inv = simplex.gauss_jordan([[Fraction(c) for c in row]
-                                + [Fraction(int(i == j)) for j in range(dim)]
-                                for i, row in enumerate(chosen)])
-    rays = []
-    for j in range(dim):
-        col = [inv[i][j] for i in range(dim)]
-        den = _lcm_den(col)
-        rays.append(primitive([int(c * den) for c in col]))
+            f"inequality matrix has rank {len(idx)} < {dim}; cone contains a line")
+    _, red = exact.bareiss([list(A[i]) + [int(r == j) for j in range(dim)]
+                            for r, i in enumerate(idx)])
+    sign = 1 if red[0][0] > 0 else -1
+    rays = [primitive([sign * red[i][dim + j] for i in range(dim)])
+            for j in range(dim)]
     return idx, rays
-
-
-def _lcm_den(col) -> int:
-    lcm = 1
-    for c in col:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return lcm
 
 
 def enumerate_rays(cone: ConeRep) -> ConeRep:
@@ -300,7 +271,7 @@ def ray_is_extreme(cone: ConeRep, ray) -> bool:
     if any(v < 0 for v in vals):
         return False
     active = [cone.ineq[j] for j, v in enumerate(vals) if v == 0]
-    return _rank(active, cone.dim) == cone.dim - 1
+    return len(exact.bareiss(active)[0]) == cone.dim - 1
 
 
 def scale_generators(cone: ConeRep) -> ConeRep:

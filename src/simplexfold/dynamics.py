@@ -2,7 +2,7 @@
 
 Fixed points come from batched multistart Newton with the exact symbolic
 Jacobian; eigenvalues use closed-form characteristic polynomial roots for
-n <= 3 and QR iteration above.  Orbit classification follows the figure
+n <= 2 and np.linalg.eigvals above.  Orbit classification follows the figure
 convention of the deformation experiments: an orbit is "red" when it
 converges to a fixed point or revisits itself within the detection window,
 and "green" otherwise.  Cycle detection is Brent-style (power-of-two
@@ -41,26 +41,8 @@ _CLASS_BAND = 1e-9
 # -- eigenvalues ---------------------------------------------------------------
 
 
-def _cubic_roots(a: float, b: float, c: float) -> list[complex]:
-    """Roots of x^3 + a x^2 + b x + c by Cardano with complex arithmetic."""
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    if abs(p) < 1e-300 and abs(q) < 1e-300:
-        return [complex(shift)] * 3
-    disc = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u = (-q / 2.0 + disc) ** (1.0 / 3.0)
-    if abs(u) < 1e-150:
-        u = (-q / 2.0 - disc) ** (1.0 / 3.0)
-    v = -p / (3.0 * u)
-    w = complex(-0.5, math.sqrt(3.0) / 2.0)
-    return [u + v + shift,
-            u * w + v * w.conjugate() + shift,
-            u * w * w + v * (w * w).conjugate() + shift]
-
-
 def small_matrix_eigenvalues(J: np.ndarray) -> list[complex]:
-    """Eigenvalues via characteristic polynomial roots (n <= 3), QR beyond."""
+    """Eigenvalues: closed-form roots for n <= 2, np.linalg.eigvals beyond."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
     if n == 1:
@@ -70,13 +52,6 @@ def small_matrix_eigenvalues(J: np.ndarray) -> list[complex]:
         det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
         s = cmath.sqrt(tr * tr - 4.0 * det)
         return [(tr + s) / 2.0, (tr - s) / 2.0]
-    if n == 3:
-        tr = np.trace(J)
-        minors = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-                  + J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
-                  + J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
-        det = float(np.linalg.det(J))
-        return _cubic_roots(-float(tr), float(minors), -det)
     return [complex(z) for z in np.linalg.eigvals(J)]
 
 

@@ -389,14 +389,6 @@ def monomials_exact(num_vars: int, d: int) -> list[Exponent]:
     return out
 
 
-def evaluate(p: MultiPoly, x):
-    return p.evaluate(x)
-
-
-def compose(outer: MultiPoly, inner: list[MultiPoly]) -> MultiPoly:
-    return outer.compose(inner)
-
-
 def homogenize(p: MultiPoly, k: int) -> HomogPoly:
     """Degree-k homogenization over n+1 variables.
 

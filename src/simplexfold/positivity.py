@@ -9,8 +9,9 @@ witnesses before the exact expansion work starts.
 The scan runs in integers: P_H is scaled by the lcm of its denominators
 (a positive scale keeps every sign), and the coefficients of L^N * P_H sit
 on a dense grid of Python ints indexed by the first n exponents, the last
-one being N + k minus their sum.  Multiplying by L adds the grid to its
-n unit shifts.
+one being N + k minus their sum.  Each step N -> N + 1 is `exact.times_L`,
+the package's one Polya expansion step, which `cone.build_inequalities`
+also uses.
 
 Certificates demand strictly positive coefficients: a polynomial that
 merely touches zero on the simplex (like (1-2x)^2) stays indeterminate at
@@ -26,7 +27,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from . import simplex
+from . import exact, simplex
 from .polynomial import EXACT, MultiPoly, homogenize
 
 CERTIFIED = "certified_positive"
@@ -103,14 +104,7 @@ def polya_certify(p: MultiPoly, k: int | None = None,
     for N in range(N_max + 1):
         if np.count_nonzero(grid > 0) == comb(N + k + n, n):
             return PolyaCertificate(CERTIFIED, N=N, N_max=N_max)
-        side = N + k + 1
-        # times x_{n+1}, then plus x_i times for each i
-        nxt = np.zeros((side + 1,) * n, dtype=object)
-        body = (slice(0, side),) * n
-        nxt[body] = grid
-        for i in range(n):
-            nxt[body[:i] + (slice(1, side + 1),) + body[i + 1:]] += grid
-        grid = nxt
+        grid = exact.times_L(grid)
     return PolyaCertificate(INDETERMINATE, N_max=N_max)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 from scipy.optimize import minimize
 
+from . import exact
 from .polynomial import EXACT, MultiPoly
 
 DEFAULT_TOL = 1e-9
@@ -179,7 +180,8 @@ def max_on_simplex(p: MultiPoly) -> tuple[float, np.ndarray]:
 
     Degree <= 2 is exact by enumeration (`_quadric_candidates`): the
     maximum of a quadric sits at a vertex or at the critical point of its
-    restriction to one face, and every such point is found exactly.
+    restriction to one face, and every such point is found exactly, in
+    integers, by `exact.bareiss`.
     Higher degree uses a dense lattice scan plus Nelder-Mead refinement
     from the best interior and per-facet grid points; refinement evaluates
     p through a Euclidean projection onto the simplex, so iterates never
@@ -199,21 +201,25 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
 
     In barycentric coordinates l = (x, 1 - sum(x)) p is l^T Q l with
     sum(l) = 1, and on the face spanned by the vertex set S a critical
-    point solves [2 Q_SS, -1; 1^T, 0] [l_S; mu] = [0; 1].  The system is
-    solved exactly in Fractions (float coefficients convert exactly) and
-    a solution is kept only when l_S > 0; vertices always qualify.  A
-    singular system is skipped: a quadric is constant on its critical set,
-    and that set, where it meets the face, also meets the face's boundary,
-    which the smaller faces cover.
+    point solves [2 s Q_SS, -1; 1^T, 0] [l_S; s mu] = [0; 1], where s, the
+    lcm of the coefficients' denominators (a power of two for float
+    input), makes the system integral.  `exact.bareiss` reduces it to
+    d [l_S; s mu] with d = +-det, and the face is kept only when every
+    d l_i * d > 0, that is l_S > 0; vertices always qualify.  A singular
+    system is skipped: a quadric is constant on its critical set, and that
+    set, where it meets the face, also meets the face's boundary, which
+    the smaller faces cover.
     """
     n = p.num_vars
     m = n + 1
-    # M = 2Q.  A term c x^a homogenizes to c x^a (sum l)^(2 - |a|), a sum
-    # of c l_i l_j over ordered pairs (i, j); each adds c to M_ij and M_ji.
-    M = [[Fraction(0)] * m for _ in range(m)]
+    coeffs = {exp: Fraction(c) for exp, c in p.terms.items()}
+    s = lcm(*(c.denominator for c in coeffs.values()))
+    # M = 2 s Q.  A term c x^a homogenizes to c x^a (sum l)^(2 - |a|), a sum
+    # of c l_i l_j over ordered pairs (i, j); each adds s c to M_ij and M_ji.
+    M = [[0] * m for _ in range(m)]
     every = range(m)
-    for exp, c in p.terms.items():
-        c = Fraction(c)
+    for exp, c in coeffs.items():
+        c = c.numerator * (s // c.denominator)
         idx = [i for i, e in enumerate(exp) for _ in range(e)]
         firsts = idx[:1] or every
         seconds = idx[1:] or every
@@ -224,36 +230,18 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
     cands = []
     for mask in range(1, 1 << m):
         S = [i for i in range(m) if mask >> i & 1]
-        rows = [[M[i][j] for j in S] + [Fraction(-1), Fraction(0)] for i in S]
-        rows.append([Fraction(1)] * len(S) + [Fraction(0), Fraction(1)])
-        sol = gauss_jordan(rows)
-        if sol is None:
+        rows = [[M[i][j] for j in S] + [-1, 0] for i in S]
+        rows.append([1] * len(S) + [0, 1])
+        pivots, red = exact.bareiss(rows)
+        if pivots != list(range(len(rows))):
             continue
-        lam = [r[0] for r in sol[:-1]]
-        if min(lam) <= 0:
+        d = red[0][0]
+        lam = [r[-1] for r in red[:-1]]
+        if min(v * d for v in lam) <= 0:
             continue
         point = dict(zip(S, lam))
-        cands.append([float(point.get(i, 0)) for i in range(n)])
+        cands.append([point[i] / d if i in point else 0.0 for i in range(n)])
     return np.array(cands, dtype=float)
-
-
-def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Rows of A^-1 B for the augmented rows [A | B] of a square A, by
-    Gauss-Jordan elimination over Fractions; None when A is singular.
-    The rows are reduced in place."""
-    k = len(rows)
-    for c in range(k):
-        piv = next((i for i in range(c, k) if rows[i][c] != 0), None)
-        if piv is None:
-            return None
-        rows[c], rows[piv] = rows[piv], rows[c]
-        f = rows[c][c]
-        rows[c] = [a / f for a in rows[c]]
-        for i in range(k):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return [r[k:] for r in rows]
 
 
 def _max_lattice_nelder_mead(p: MultiPoly) -> tuple[float, np.ndarray]:

@@ -79,16 +79,43 @@ class TestBuildInequalities:
         rep = build_inequalities(1, 0, 3)
         assert {primitive(row) for row in rep.ineq} == {(1,)}
 
-    def test_rows_match_polya_expansion(self):
+    @pytest.mark.parametrize("n,k,N", [(1, 3, 4), (2, 2, 1), (2, 3, 2), (3, 2, 2)])
+    def test_rows_match_polya_expansion(self, n, k, N):
         # A c >= 0 rows must be the coefficients of L^N * P_H
         from simplexfold.polynomial import MultiPoly, homogenize, linear_form
-        rep = build_inequalities(2, 2, 1)
+        rep = build_inequalities(n, k, N)
         rng = np.random.default_rng(17)
         c = [int(v) for v in rng.integers(-4, 5, size=rep.dim)]
-        p = MultiPoly(2, dict(zip(rep.basis, c)))
-        expansion = homogenize(p, 2) * linear_form(3)
+        p = MultiPoly(n, dict(zip(rep.basis, c)))
+        expansion = homogenize(p, k) * linear_form(n + 1) ** N
+        assert len(rep.ineq) == len(rep.row_monomials) == math.comb(N + k + n, n)
         for row, beta in zip(rep.ineq, rep.row_monomials):
             assert sum(a * b for a, b in zip(row, c)) == expansion.coefficient(beta)
+
+
+class TestInitialSimplicial:
+    @staticmethod
+    def assert_tight_except_own_row(A, idx, rays):
+        for j, ray in enumerate(rays):
+            for i, row in enumerate(idx):
+                slack = sum(a * b for a, b in zip(A[row], ray))
+                assert slack > 0 if i == j else slack == 0
+
+    @pytest.mark.parametrize("nkN", [(1, 3, 2), (2, 2, 3), (2, 3, 1)])
+    def test_rays_tight_except_own_row(self, nkN):
+        rep = build_inequalities(*nkN)
+        idx, rays = cone._initial_simplicial(rep.ineq, rep.dim)
+        assert len(idx) == len(rays) == rep.dim
+        self.assert_tight_except_own_row(rep.ineq, idx, rays)
+
+    def test_negative_determinant(self):
+        # the chosen rows have determinant -3; without the sign of the
+        # determinant each ray would have negative slack on its own row
+        A = [(0, 0), (2, 1), (4, 2), (1, -1)]
+        idx, rays = cone._initial_simplicial(A, 2)
+        assert idx == [1, 3]
+        assert rays == [(1, 1), (1, -2)]
+        self.assert_tight_except_own_row(A, idx, rays)
 
 
 class TestEnumerateRays:
