@@ -21,8 +21,8 @@ logistic map to any dimension and fold order.  This package provides:
 
 __version__ = "0.1.0"
 
-from .polynomial import (EXACT, FLOAT, HomogPoly, MultiPoly, divide_by_linear,
-                         homogenize, jacobian, linear_form, normalize_degree)
+from .polynomial import (EXACT, FLOAT, MultiPoly, divide_by_linear, homogenize,
+                         linear_form)
 from .simplex import (face_of, l2_distance, max_on_simplex, monomial_integral,
                       sample_uniform)
 from .positivity import PolyaCertificate, nonneg_on_simplex, polya_certify

@@ -19,30 +19,10 @@ import logging
 
 import numpy as np
 
-from . import simplex
+from . import sampler, simplex
 from .maps import SimplexMap
 
 log = logging.getLogger(__name__)
-
-
-class MapSystem:
-    """Float values and exact symbolic partials of a map, batch-callable."""
-
-    def __init__(self, f: SimplexMap):
-        self.n = f.n
-        self.coeffs = f.coefficients()
-        self.parts = [[p.partial(j) for j in range(f.n)]
-                      for p in (q.to_float() for q in f.P)]
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        return self.coeffs.values(X)
-
-    def jacobians(self, X: np.ndarray) -> np.ndarray:
-        J = np.empty((X.shape[0], self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                J[:, i, j] = self.parts[i][j].eval_many(X)
-        return J
 
 
 def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
@@ -135,23 +115,23 @@ def solve_on_simplex(f: SimplexMap, target=None, seeds: np.ndarray | None = None
 
     Returns an array of deduplicated solutions sorted lexicographically.
     """
-    sys = MapSystem(f)
+    coeffs = f.coefficients()
     fixed_point = target is None
     if not fixed_point:
         target = np.asarray(target, dtype=float)
     eye = np.eye(f.n)
 
     def F(X):
-        V = sys.values(X)
+        V = coeffs.values(X)
         return V - (X if fixed_point else target[None, :])
 
     def J(X):
-        Jm = sys.jacobians(X)
+        Jm = coeffs.jacobians(X)
         return Jm - eye[None, :, :] if fixed_point else Jm
 
     if seeds is None:
         if rng is None:
-            rng = np.random.Generator(np.random.Philox(key=0))
+            rng = sampler.make_rng(0)
         seeds = default_seeds(f.n, lattice_target, n_random, rng)
     pts, _, dropped = newton_batch(F, J, seeds, residual_tol=residual_tol)
     inside = (pts.min(axis=1) >= -inclusion_tol) & (pts.sum(axis=1) <= 1 + inclusion_tol)

@@ -1,8 +1,9 @@
 """Dynamics of simplex maps: fixed points, spectra, orbits, fixation times.
 
-Fixed points come from batched multistart Newton with the exact symbolic
-Jacobian; eigenvalues use closed-form characteristic polynomial roots for
-n <= 2 and np.linalg.eigvals above.  Orbit classification follows the figure
+Fixed points come from batched multistart Newton, with values and
+Jacobians read off the map's coefficient table (maps.MapCoefficients);
+eigenvalues use closed-form characteristic polynomial roots for n <= 2 and
+np.linalg.eigvals above.  Orbit classification follows the figure
 convention of the deformation experiments: an orbit is "red" when it
 converges to a fixed point or revisits itself within the detection window,
 and "green" otherwise.  Cycle detection is Brent-style (power-of-two
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _newton, folding, simplex
+from . import _newton, folding, sampler, simplex
 from .maps import APPLY_TOL, MapCoefficients, MapImageError, SimplexMap, image_error
 from .polynomial import EXACT, MultiPoly
 
@@ -122,18 +123,16 @@ def find_fixed_points(f: SimplexMap, *, lattice_target: int = 2000,
     """
     if _is_identity(f):
         return FixedPointReport([], degenerate_identity=True)
-    rng = np.random.Generator(np.random.Philox(key=seed))
     pts = _newton.solve_on_simplex(f, target=None, lattice_target=lattice_target,
-                                   n_random=n_random, rng=rng,
+                                   n_random=n_random, rng=sampler.make_rng(seed),
                                    dedup_tol=dedup_tol, residual_tol=residual_tol,
                                    inclusion_tol=inclusion_tol)
-    sys = _newton.MapSystem(f)
+    coeffs = f.coefficients()
+    residuals = np.abs(coeffs.values(pts) - pts).max(axis=1)
     out = []
-    for x in pts:
-        res = float(np.abs(sys.values(x[None, :])[0] - x).max())
-        J = sys.jacobians(x[None, :])[0]
+    for x, res, J in zip(pts, residuals, coeffs.jacobians(pts)):
         eigs = tuple(small_matrix_eigenvalues(J))
-        out.append(FixedPoint(tuple(x), res, eigs, classify_spectrum(eigs)))
+        out.append(FixedPoint(tuple(x), float(res), eigs, classify_spectrum(eigs)))
     out.sort(key=lambda p: p.point)
     return FixedPointReport(out)
 
@@ -398,20 +397,6 @@ class FixationResult:
         return len(self.records)
 
 
-def fixation_time(f: SimplexMap, x0, absorb_tol: float = 1e-9,
-                  max_iters: int = 100_000):
-    """Deterministic absorption time of a single start; None if never absorbed."""
-    V = simplex.vertices(f.n)
-    x = np.asarray(x0, dtype=float)
-    for t in range(max_iters + 1):
-        d = np.sqrt(((V - x[None, :]) ** 2).sum(axis=1))
-        j = int(d.argmin())
-        if d[j] <= absorb_tol:
-            return t, tuple(V[j])
-        x = f.apply_many(x)
-    return None, None
-
-
 def fixation_experiment(f: SimplexMap, region: float = 0.01, count: int = 10_000,
                         absorb_tol: float = 1e-9, max_iters: int = 100_000,
                         master_seed: int = 0) -> FixationResult:
@@ -421,7 +406,7 @@ def fixation_experiment(f: SimplexMap, region: float = 0.01, count: int = 10_000
     absorb_tol ball around any vertex, and fits a log-normal by maximum
     likelihood on the natural log of the positive times.
     """
-    rng = np.random.Generator(np.random.Philox(key=master_seed))
+    rng = sampler.make_rng(master_seed)
     X0 = region * rng.random((count, f.n))
     V = simplex.vertices(f.n)
 
@@ -471,7 +456,7 @@ def invariant_measure_test(d: int, sample_count: int = 100_000,
     degree-d interval fold and the arcsine measure itself."""
     if d < 1:
         raise ValueError("fold order must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=master_seed))
+    rng = sampler.make_rng(master_seed)
     u = rng.random(sample_count)
     x = (1.0 - np.cos(math.pi * u)) / 2.0
     fd = folding.catalog(f"cheb:{d}").to_float()

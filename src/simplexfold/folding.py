@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,8 +102,13 @@ def _f9_cubic(u: MultiPoly, v: MultiPoly) -> MultiPoly:
     return 2 - 9 * u + 24 * u ** 2 - 16 * u ** 3 + 9 * v - 24 * v ** 2 + 16 * v ** 3
 
 
+@lru_cache(maxsize=32)
 def catalog(name: str) -> maps.SimplexMap:
-    """Exact catalog map by name: 'cheb:d' (d >= 1) or 'tri:f{1,2,4,8,9}'."""
+    """Exact catalog map by name: 'cheb:d' (d >= 1) or 'tri:f{1,2,4,8,9}'.
+
+    Maps are immutable, so each is built once per process and keeps its
+    coefficient and Jacobian tables across queries.
+    """
     if name.startswith("cheb:"):
         d = int(name.split(":", 1)[1])
         if d < 1:
@@ -897,7 +903,7 @@ def preimage_count(f: maps.SimplexMap, y, *, n_seeds: int = 500,
     y = np.asarray(y, dtype=float)
     if y.min() <= 0 or y.sum() >= 1:
         raise ValueError("target must be strictly interior")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = sampler.make_rng(seed)
     n_lattice = int(n_seeds * lattice_share)
     seeds = _newton.default_seeds(f.n, n_lattice, n_seeds - n_lattice, rng)
     pts = _newton.solve_on_simplex(f, target=y, seeds=seeds,

@@ -155,10 +155,11 @@ class MapCoefficients:
     polynomial.eval_terms, the routine behind MultiPoly.eval_many.  So a
     one-map table gives eval_many's values bit for bit, and a row of a
     many-map table differs from its map's own table at most in the sign of
-    a zero (a monomial that only other maps carry adds 0 to it).
+    a zero (a monomial that only other maps carry adds 0 to it).  The same
+    holds for the Jacobians, read off the same terms.
     """
 
-    __slots__ = ("n", "maxdeg", "terms")
+    __slots__ = ("n", "maxdeg", "terms", "_partials")
 
     def __init__(self, fs, rows=None):
         """fs: maps on one simplex.  rows: for each point row, the index of
@@ -202,6 +203,26 @@ class MapCoefficients:
             out[:, i] = col
         return out
 
+    def jacobians(self, X: np.ndarray) -> np.ndarray:
+        """Jacobian matrices at the rows of X, shape (rows, n, n).
+
+        Entry (i, j) sums the terms of component i differentiated in x_j: a
+        term c x^a with a_j > 0 becomes a_j c x^(a - e_j).  That map keeps
+        graded-lex order, so a one-map table gives the float partials'
+        eval_many values bit for bit.  The n^2 derivative term lists are
+        built on the first call and kept; all of them go through one
+        eval_terms call.
+        """
+        if X.shape[1] != self.n:
+            raise ValueError("point dimension mismatch")
+        try:
+            partials = self._partials
+        except AttributeError:
+            partials = self._partials = tuple(
+                _derivative(terms, j) for terms in self.terms for j in range(self.n))
+        cols = eval_terms(X, self.maxdeg, partials)
+        return np.stack(cols, axis=1).reshape(X.shape[0], self.n, self.n)
+
     def apply(self, X: np.ndarray, tol: float = APPLY_TOL):
         """Images of the rows of X, clamped onto the simplex.
 
@@ -223,6 +244,17 @@ class MapCoefficients:
             fix[over] /= s[over, None]
             out[clamped] = fix
         return out, bad, clamped
+
+
+def _derivative(terms, j: int):
+    """The terms (c, ((v, e), ...)) differentiated in variable j."""
+    out = []
+    for c, factors in terms:
+        e = dict(factors).get(j, 0)
+        if e:
+            out.append((c * e, tuple((v, a - 1 if v == j else a)
+                                     for v, a in factors if (v, a) != (j, 1))))
+    return tuple(out)
 
 
 class MembershipReport:

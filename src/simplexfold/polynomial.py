@@ -318,23 +318,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-class HomogPoly(MultiPoly):
-    """Homogeneous polynomial; every stored term has the same total degree."""
-
-    __slots__ = ("homog_degree",)
-
-    def __init__(self, num_vars, terms=None, scalar_mode=EXACT, homog_degree=None):
-        super().__init__(num_vars, terms, scalar_mode)
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        if homog_degree is None:
-            homog_degree = degs.pop() if degs else 0
-        elif degs and degs.pop() != homog_degree:
-            raise ValueError("declared degree disagrees with terms")
-        object.__setattr__(self, "homog_degree", homog_degree)
-
-
 # -- module-level operations ------------------------------------------------
 
 
@@ -389,7 +372,7 @@ def monomials_exact(num_vars: int, d: int) -> list[Exponent]:
     return out
 
 
-def homogenize(p: MultiPoly, k: int) -> HomogPoly:
+def homogenize(p: MultiPoly, k: int) -> MultiPoly:
     """Degree-k homogenization over n+1 variables.
 
     Each term c*x^a with |a| < k is multiplied by (x_1+...+x_{n+1})^(k-|a|),
@@ -404,7 +387,7 @@ def homogenize(p: MultiPoly, k: int) -> HomogPoly:
     for exp, c in p.terms.items():
         mono = MultiPoly(nv, {exp + (0,): c}, p.scalar_mode)
         out = out + mono * (L ** (k - sum(exp)))
-    return HomogPoly(nv, out.terms, p.scalar_mode, homog_degree=k)
+    return out
 
 
 def linear_form(num_vars: int, scalar_mode: str = EXACT) -> MultiPoly:
@@ -412,15 +395,6 @@ def linear_form(num_vars: int, scalar_mode: str = EXACT) -> MultiPoly:
     terms = {tuple(1 if j == i else 0 for j in range(num_vars)): 1
              for i in range(num_vars)}
     return MultiPoly(num_vars, terms, scalar_mode)
-
-
-def jacobian(ps: list[MultiPoly], x) -> list[list]:
-    """Matrix of exact partial derivatives evaluated at x."""
-    n = len(x)
-    for p in ps:
-        if p.num_vars != n:
-            raise ValueError("polynomial/point dimension mismatch")
-    return [[p.partial(j).evaluate(x) for j in range(n)] for p in ps]
 
 
 def divide_by_linear(p: MultiPoly, ell: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
@@ -459,18 +433,3 @@ def divide_by_linear(p: MultiPoly, ell: MultiPoly) -> tuple[MultiPoly, MultiPoly
         q = q + a
         r = r - a * ell
     return q, r
-
-
-def normalize_degree(p: HomogPoly) -> HomogPoly:
-    """Divide out the largest power of (x_1+...+x_n) that exactly divides p."""
-    if p.is_zero():
-        return p
-    L = linear_form(p.num_vars)
-    cur = p
-    while cur.homog_degree > 0:
-        q, r = divide_by_linear(cur, L)
-        if not r.is_zero():
-            break
-        cur = HomogPoly(p.num_vars, q.terms, p.scalar_mode,
-                        homog_degree=cur.homog_degree - 1)
-    return cur

@@ -35,13 +35,18 @@ def make_rng(*key) -> np.random.Generator:
 
     Any number of integers folds deterministically into the 128-bit key,
     so (seed,) and (seed, index) streams are independent and reproducible.
+    Integers are taken modulo 2^64, so make_rng(seed) draws what
+    Philox(key=seed) draws for 0 <= seed < 2^64.  The key words go to Philox
+    as a uint64 array: a plain list holding a word of 2^63 or more would
+    pass through float64 and collide with its neighbours.
     """
     mask = (1 << 64) - 1
-    w0 = key[0] & mask if key else 0
+    w0 = int(key[0]) & mask if key else 0
     w1 = 0
     for k in key[1:]:
         w1 = (w1 * 0x9E3779B97F4A7C15 + (int(k) & mask) + 1) & mask
-    return np.random.Generator(np.random.Philox(key=[w0, w1]))
+    words = np.array([w0, w1], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=words))
 
 
 @dataclass

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from simplexfold import dynamics, folding, sampler, simplex
+from simplexfold import _newton, dynamics, folding, sampler, simplex
 from simplexfold.cone import build_inequalities, enumerate_rays, scale_generators
 from simplexfold.dynamics import (CONVERGED_FIXED, FAILED, NONPERIODIC, PERIODIC,
                                   ScanRow, classify_orbit, classify_orbits,
                                   find_fixed_points, fixation_experiment,
-                                  fixation_time, invariant_measure_test,
-                                  small_matrix_eigenvalues)
+                                  invariant_measure_test, small_matrix_eigenvalues)
 from simplexfold.maps import MapImageError, SimplexMap
 from simplexfold.polynomial import FLOAT, MultiPoly
 
@@ -59,6 +58,19 @@ class TestFixedPoints:
         for p in rep.points:
             img = sysm.apply_many(np.array(p.point))
             assert np.abs(img - np.array(p.point)).max() < 1e-11
+
+    def test_batched_report_matches_per_point(self):
+        f = folding.catalog("tri:f9")
+        rep = find_fixed_points(f)
+        pts = _newton.solve_on_simplex(f, rng=sampler.make_rng(0))
+        assert [fp.point for fp in rep.points] == sorted(tuple(x) for x in pts)
+        parts = [[p.to_float().partial(j) for j in range(f.n)] for p in f.P]
+        for fp in rep.points:
+            x = np.array(fp.point)
+            value = np.array([p.to_float().eval_many(x) for p in f.P])
+            J = np.array([[d.eval_many(x) for d in row] for row in parts])
+            assert fp.residual == float(np.abs(value - x).max())
+            assert fp.eigenvalues == tuple(small_matrix_eigenvalues(J))
 
     def test_ninefold_exact_census(self):
         """Regression: the exact derived census of the Table-2 nine-fold.
@@ -261,6 +273,21 @@ class TestLockstepScan:
         assert record.lockstep_steps == 45  # the fold's orbits run the window
         assert 0 <= record.clamped_rows <= 9
         assert capsys.readouterr() == ("", "")
+
+
+def fixation_time(f: SimplexMap, x0, absorb_tol: float = 1e-9,
+                  max_iters: int = 100_000):
+    """Absorption time of a single start, one step at a time; None if never
+    absorbed."""
+    V = simplex.vertices(f.n)
+    x = np.asarray(x0, dtype=float)
+    for t in range(max_iters + 1):
+        d = np.sqrt(((V - x[None, :]) ** 2).sum(axis=1))
+        j = int(d.argmin())
+        if d[j] <= absorb_tol:
+            return t, tuple(V[j])
+        x = f.apply_many(x)
+    return None, None
 
 
 class TestFixation:

@@ -177,6 +177,73 @@ class TestMarkov:
             seen += 1
 
 
+CATALOG = [f"cheb:{d}" for d in range(1, 7)] + ["tri:f1", "tri:f2", "tri:f4",
+                                               "tri:f8", "tri:f9"]
+
+
+def random_float_map(n, k, rng):
+    """A float map with random coefficients on every monomial of degree <= k."""
+    monos = [e for e in itertools.product(range(k + 1), repeat=n) if sum(e) <= k]
+    P = [MultiPoly(n, {e: float(rng.normal()) for e in monos}, FLOAT) for _ in range(n)]
+    return SimplexMap(n, k, P)
+
+
+def simplex_points(n, m, seed=0):
+    return simplex.sample_uniform(n, m, np.random.default_rng(seed))
+
+
+def partials_reference(f, X):
+    """Jacobians from each float component's partials, one eval_many each."""
+    J = np.empty((X.shape[0], f.n, f.n))
+    for i, p in enumerate(f.P):
+        for j in range(f.n):
+            J[:, i, j] = p.to_float().partial(j).eval_many(X)
+    return J
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestJacobians:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_matches_partials(self, name):
+        f = folding.catalog(name)
+        X = simplex_points(f.n, 2000)
+        assert same_bits(f.coefficients().jacobians(X), partials_reference(f, X))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_float_maps_match_partials(self, n):
+        rng = np.random.default_rng(n)
+        for k in (1, 2, 4):
+            f = random_float_map(n, k, rng)
+            X = simplex_points(n, 500, seed=k)
+            assert same_bits(f.coefficients().jacobians(X), partials_reference(f, X))
+
+    def test_many_map_table_matches_each_map(self):
+        rng = np.random.default_rng(5)
+        fs = [folding.catalog("tri:f2"), folding.catalog("tri:f9"),
+              random_float_map(2, 3, rng)]
+        rows = np.arange(300) % len(fs)
+        X = simplex_points(2, 300)
+        table = maps.MapCoefficients(fs, rows)
+        J = table.jacobians(X)
+        for m, f in enumerate(fs):
+            own = f.coefficients().jacobians(X[rows == m])
+            assert np.array_equal(J[rows == m], own)  # -0.0 == 0.0
+        keep = np.flatnonzero(rows != 1)
+        assert np.array_equal(table.take(keep).jacobians(X[keep]), J[keep])
+
+    @pytest.mark.parametrize("name", ["cheb:3", "tri:f4"])
+    def test_zero_rows(self, name):
+        f = folding.catalog(name)
+        assert f.coefficients().jacobians(np.empty((0, f.n))).shape == (0, f.n, f.n)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            folding.catalog("tri:f2").coefficients().jacobians(np.zeros((3, 1)))
+
+
 def test_compose_maps_degree():
     f2 = folding.catalog("tri:f2")
     f4 = maps.compose_maps(f2, f2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simplexfold import _newton, folding
-from simplexfold._newton import MapSystem, dedup_points, newton_batch
+from simplexfold._newton import dedup_points, newton_batch
 
 
 def sequential_newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
@@ -68,13 +68,13 @@ def greedy_dedup(points: np.ndarray, tol: float) -> np.ndarray:
 
 def system(f, target=None):
     """(F, J) of f(x) = target, or of f(x) = x when target is None."""
-    sys = MapSystem(f)
+    coeffs = f.coefficients()
     eye = np.eye(f.n)
     if target is None:
-        return (lambda X: sys.values(X) - X,
-                lambda X: sys.jacobians(X) - eye[None, :, :])
+        return (lambda X: coeffs.values(X) - X,
+                lambda X: coeffs.jacobians(X) - eye[None, :, :])
     y = np.asarray(target, dtype=float)
-    return (lambda X: sys.values(X) - y[None, :]), sys.jacobians
+    return (lambda X: coeffs.values(X) - y[None, :]), coeffs.jacobians
 
 
 def preimage_seeds(n, seed=0, n_seeds=500):
