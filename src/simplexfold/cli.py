@@ -49,6 +49,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2^64), the range make_rng keys
+    without aliasing one seed onto another."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2^64)")
+    return seed
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit catalog maps and verify them")
     p.add_argument("--out-dir", default="tables_out")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("cone-build", help="build and enumerate a Polya cone")
@@ -382,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-scale", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_cone_build)
 
     p = sub.add_parser("solve-fold", help="solve a folding template")
@@ -390,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--template", help="template JSON path")
     g.add_argument("--builtin", choices=sorted(folding.BUILTIN_TEMPLATES))
     p.add_argument("--out", default="solutions.json")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_solve_fold)
 
     p = sub.add_parser("verify-fold", help="verify a fold factorization")
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--map", help="map JSON path")
     g.add_argument("--catalog", help="catalog name, e.g. tri:f9")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_verify_fold)
 
     p = sub.add_parser("fig6", help="deformation scan of the triangle two-fold")
@@ -413,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int,
                    help="accepted and recorded in the manifest, but has no effect: "
                         "the scan runs as one lockstep batch in one process")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_fig6)
 
     p = sub.add_parser("deform-sample", help="sample deformations of a map")
@@ -422,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_deform_sample)
 
     p = sub.add_parser("fig7", help="fixation times of the nine-fold")
@@ -431,14 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--absorb-tol", type=float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--out-dir", default="fig7_out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("measure-test", help="arcsine invariant measure KS test")
     p.add_argument("--d", default="2,3,4", help="comma-separated fold orders")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_measure_test)
 
     p = sub.add_parser("preimage-count", help="count interior preimages")
@@ -448,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="comma-separated coordinates")
     p.add_argument("--n-seeds", type=int, default=500)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_preimage_count)
     return ap
 

@@ -12,12 +12,17 @@ anchors, O(1) memory) with an l-infinity tolerance.
 The deformation scan runs in one process: after each map's distance and
 fixed points, the orbits of all its maps advance as one lockstep batch,
 each row through its own map's coefficients (maps.MapCoefficients), and a
-map that leaves the simplex fails only its own row.
+map that leaves the simplex fails only its own row.  Every open row shares
+Brent's anchor distance and power, so the rows that come back within tol
+of their anchor on one step share one period-check horizon: each map's
+candidates advance through that horizon as one apply_many batch, and the
+shift test then gives each row the period it gets when checked alone.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from collections import Counter
@@ -150,25 +155,42 @@ class OrbitVerdict:
     error: str | None = None  # why the row's map failed (kind FAILED only)
 
 
-def _minimal_period(f: SimplexMap, x: np.ndarray, lam: int, tol: float):
-    """Smallest shift p <= lam under which the orbit from x matches itself.
+def _orbits(f: SimplexMap, X: np.ndarray, horizon: int) -> np.ndarray:
+    """The orbits of the rows of X for `horizon` steps, shape (horizon+1, rows, n)."""
+    orbit = np.empty((horizon + 1,) + X.shape)
+    orbit[0] = X
+    for s in range(horizon):
+        orbit[s + 1] = f.apply_many(orbit[s])
+    return orbit
 
-    The check extends well past the detected gap, so a slow passage near a
-    repelling fixed point (where nearby states sit within tol of each other
-    but the orbit is escaping) does not fake a cycle; such matches return
-    None and the caller keeps iterating.
+
+def _minimal_periods(f: SimplexMap, X: np.ndarray, lam: int, tol: float) -> list:
+    """For each row of X, the smallest shift p <= lam under which its orbit
+    matches itself, or None.
+
+    All rows advance as one batch for a shared horizon of max(2*lam, 64)
+    steps, well past the detected gap, so a slow passage near a repelling
+    fixed point (where nearby states sit within tol of each other but the
+    orbit is escaping) does not fake a cycle; such rows get None and the
+    caller keeps iterating.  If an orbit leaves the simplex, the
+    MapImageError is that of the first row, in row order, whose own orbit
+    leaves it within the horizon.
     """
     horizon = max(2 * lam, 64)
-    orbit = [np.asarray(x, dtype=float)]
-    for _ in range(horizon):
-        orbit.append(f.apply_many(orbit[-1]))
-    for p in range(1, lam + 1):
-        if np.abs(orbit[0] - orbit[p]).max() >= tol:
-            continue
-        if all(np.abs(orbit[s] - orbit[s + p]).max() < tol
-               for s in range(horizon - p + 1)):
-            return p
-    return None
+    try:
+        orbit = _orbits(f, X, horizon)
+    except MapImageError:
+        # the batch raised for its earliest bad step, not its first bad row
+        for x in X:
+            _orbits(f, x[None], horizon)
+        raise
+    # the shift-p test holds when every |x_s - x_(s+p)| < tol, s = 0..horizon-p;
+    # shifts that already fail at s = 0 are ruled out for all rows at once
+    near = np.abs(orbit[1:lam + 1] - orbit[0]).max(axis=2) < tol
+    return [next((int(p) for p in np.flatnonzero(near[:, j]) + 1
+                  if np.abs(orbit[:horizon + 1 - p, j] - orbit[p:, j]).max() < tol),
+                 None)
+            for j in range(X.shape[0])]
 
 
 def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
@@ -203,10 +225,12 @@ def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
 
     def advance(X, it):
         Y, bad, clamped = coeffs.apply(X)
-        ever_clamped[open_rows[clamped]] = True
-        for r in np.flatnonzero(bad):
-            k = owner[open_rows[r]]
-            fail(k, it, image_error(fs[k], X[r], Y[r], APPLY_TOL))
+        if clamped.any():
+            ever_clamped[open_rows[clamped]] = True
+        if bad.any():
+            for r in np.flatnonzero(bad):
+                k = owner[open_rows[r]]
+                fail(k, it, image_error(fs[k], X[r], Y[r], APPLY_TOL))
         return Y
 
     def finish(r: int, kind: str, it: int, period=None) -> None:
@@ -222,16 +246,19 @@ def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
             X, open_rows, coeffs = X[keep], open_rows[keep], coeffs.take(keep)
             if open_rows.size == 0:
                 break
-    anchors = X.copy()
-    power = np.ones(open_rows.size, dtype=np.int64)
-    lam = np.zeros(open_rows.size, dtype=np.int64)
+    # Brent's anchor distance lam and window power are the same for every
+    # open row: they start together and advance together
+    anchors = X
+    power, lam = 1, 0
     prev_step = np.full(open_rows.size, np.inf)
 
     for t in range(1, window + 1 if open_rows.size else 1):
         Xn = advance(X, burn_in + t)
-        step = np.abs(Xn - X).max(axis=1)
+        # maxima over the columns pairwise: exact in any order, NaN included,
+        # and much cheaper than a reduction along a short axis 1
+        step = functools.reduce(np.maximum, np.abs(Xn - X).T)
         lam += 1
-        danchor = np.abs(Xn - anchors).max(axis=1)
+        danchor = functools.reduce(np.maximum, np.abs(Xn - anchors).T)
         X = Xn
         done = failed[owner[open_rows]]
         # converged: two consecutive sub-tol steps that are not growing,
@@ -241,35 +268,35 @@ def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
         for r in np.flatnonzero(conv):
             finish(r, CONVERGED_FIXED, burn_in + t)
             done[r] = True
-        for r in np.flatnonzero(danchor < tol):
-            k = owner[open_rows[r]]
-            if done[r] or failed[k]:
-                continue
-            try:
-                p = _minimal_period(fs[k], X[r], int(lam[r]), tol)
-            except MapImageError as exc:
-                fail(k, burn_in + t, exc)
-                continue
-            if p is None:
-                continue
-            # a persistent period-1 cycle is a fixed point
-            finish(r, CONVERGED_FIXED if p == 1 else PERIODIC, burn_in + t,
-                   period=None if p == 1 else p)
-            done[r] = True
+        cand = np.flatnonzero((danchor < tol) & ~done)
+        if cand.size:
+            maps_of = owner[open_rows[cand]]
+            for k in np.unique(maps_of):
+                rows = cand[maps_of == k]
+                try:
+                    periods = _minimal_periods(fs[k], X[rows], lam, tol)
+                except MapImageError as exc:
+                    fail(k, burn_in + t, exc)
+                    continue
+                for r, p in zip(rows, periods):
+                    if p is None:
+                        continue
+                    # a persistent period-1 cycle is a fixed point
+                    finish(r, CONVERGED_FIXED if p == 1 else PERIODIC, burn_in + t,
+                           period=None if p == 1 else p)
+                    done[r] = True
         done |= failed[owner[open_rows]]
         if done.any():
             keep = np.flatnonzero(~done)
             X, anchors, coeffs = X[keep], anchors[keep], coeffs.take(keep)
-            power, lam = power[keep], lam[keep]
             prev_step = prev_step[keep]
             open_rows = open_rows[keep]
             if open_rows.size == 0:
                 break
-        refresh = lam == power
-        if refresh.any():
-            anchors[refresh] = X[refresh]
-            power[refresh] *= 2
-            lam[refresh] = 0
+        if lam == power:
+            anchors = X
+            power *= 2
+            lam = 0
     for r in range(open_rows.size):
         finish(r, NONPERIODIC, burn_in + window)
     for row in np.flatnonzero(failed[owner]):

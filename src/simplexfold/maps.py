@@ -12,6 +12,8 @@ of a non-member map.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import positivity, simplex
@@ -233,7 +235,9 @@ class MapCoefficients:
         its sum exceeds 1; those rows are flagged in clamped.
         """
         out = self.values(X)
-        low = out.min(axis=1)
+        # minimum over the columns pairwise: exact in any order, NaN
+        # included, and much cheaper than a reduction along a short axis 1
+        low = functools.reduce(np.minimum, out.T)
         sums = out.sum(axis=1)
         bad = (low < -tol) | (sums > 1 + tol)
         clamped = ((low < 0) | (sums > 1)) & ~bad

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from simplexfold import cli
 
 
@@ -163,6 +165,25 @@ class TestMeasureTest:
         data = json.loads(out.read_text())
         assert set(data) == {"1", "2"}
         assert all(v < 0.05 for v in data.values())
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_outside_range_rejected(self, seed, tmp_path, capsys):
+        # make_rng keys on seed mod 2^64, so such a seed would alias another
+        with pytest.raises(SystemExit) as exit_:
+            run(["measure-test", "--d", "1", "--samples", "100", "--seed", str(seed),
+                 "--out", str(tmp_path / "ks.json")])
+        assert exit_.value.code == 2
+        assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        out = tmp_path / "ks.json"
+        assert run(["measure-test", "--d", "1", "--samples", "100",
+                    "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["master_seed"] == 2**64 - 1
 
 
 class TestPreimageCount:

@@ -140,7 +140,8 @@ class TestOrbits:
         x0s = simplex.sample_uniform(2, 5, np.random.default_rng(23))
         batch = classify_orbits(f, x0s, window=500, burn_in=50)
         single = [classify_orbit(f, x0, window=500, burn_in=50) for x0 in x0s]
-        assert [v.kind for v in batch] == [v.kind for v in single]
+        # kind, iterations_used, period, witness and clamped, bit for bit
+        assert batch == single
 
 
 class TestDeformScan:
@@ -273,6 +274,96 @@ class TestLockstepScan:
         assert record.lockstep_steps == 45  # the fold's orbits run the window
         assert 0 <= record.clamped_rows <= 9
         assert capsys.readouterr() == ("", "")
+
+
+def minimal_period(f: SimplexMap, x, lam: int, tol: float):
+    """Reference period check: one row, one step at a time.
+
+    The smallest shift p <= lam under which the orbit from x matches itself
+    over max(2*lam, 64) steps, or None; an image outside the simplex raises.
+    """
+    horizon = max(2 * lam, 64)
+    orbit = [np.asarray(x, dtype=float)]
+    for _ in range(horizon):
+        orbit.append(f.apply_many(orbit[-1]))
+    for p in range(1, lam + 1):
+        if np.abs(orbit[0] - orbit[p]).max() >= tol:
+            continue
+        if all(np.abs(orbit[s] - orbit[s + p]).max() < tol
+               for s in range(horizon - p + 1)):
+            return p
+    return None
+
+
+def _logistic(r):
+    x = MultiPoly.variable(1, 0, FLOAT)
+    return SimplexMap(1, 2, [r * x * (1 - x)])
+
+
+def _burnt_in(f, X, steps):
+    for _ in range(steps):
+        X = f.apply_many(X)
+    return X
+
+
+class TestBatchedPeriodCheck:
+    TOL = 1e-10
+
+    def assert_matches_reference(self, f, X, lam):
+        batch = dynamics._minimal_periods(f, X, lam, self.TOL)
+        assert batch == [minimal_period(f, x, lam, self.TOL) for x in X]
+        return batch
+
+    @pytest.mark.parametrize("r, period", [(3.2, 2), (3.83, 3)])
+    def test_logistic_cycles(self, r, period):
+        f = _logistic(r)
+        X = _burnt_in(f, np.array([[0.21], [0.4], [0.77]]), 2000)
+        for lam in (1, period, period + 1, 8, 40):
+            found = self.assert_matches_reference(f, X, lam)
+            assert found == [period if lam >= period else None] * 3
+
+    def test_fold_batch_deformations(self, fold_batch, monkeypatch):
+        # every period check the scan of the fold batch makes
+        calls = []
+        batched = dynamics._minimal_periods
+
+        def record(f, X, lam, tol):
+            calls.append((f, X.copy(), lam, tol))
+            return batched(f, X, lam, tol)
+
+        monkeypatch.setattr(dynamics, "_minimal_periods", record)
+        f2, samples = fold_batch
+        dynamics.deform_scan(f2, samples, TRIALS, **SCAN_KW)
+        assert calls
+        for f, X, lam, tol in calls:
+            assert batched(f, X, lam, tol) == [minimal_period(f, x, lam, tol)
+                                               for x in X]
+
+    def test_slow_passage_rejected_beside_accepted_rows(self):
+        # 1 - 1/3.2 is a repelling fixed point (multiplier -1.2): an orbit
+        # 1e-13 from it moves by less than tol per step at first, but the
+        # horizon sees it escape; the rows on the 2-cycle and the one on the
+        # fixed vertex 0 are accepted
+        f = _logistic(3.2)
+        cycle = _burnt_in(f, np.array([[0.21], [0.5]]), 2000)
+        X = np.vstack([cycle[:1], [[0.0]], [[1 - 1 / 3.2 + 1e-13]], cycle[1:]])
+        assert np.abs(f.apply_many(X[2]) - X[2]).max() < self.TOL
+        assert self.assert_matches_reference(f, X, 4) == [2, 1, None, 2]
+
+    def test_failure_attributed_to_first_row(self):
+        # rows A and B share lam = 1; B leaves the simplex about 4 steps in,
+        # A about 36 steps in, and A's error is the one reported, as with
+        # the rows checked one after the other
+        _, slow = _escaping_maps()
+        A, B = [0.9, 0.0], [0.99, 0.0]
+        with pytest.raises(MapImageError) as ref:
+            minimal_period(slow, A, 1, self.TOL)
+        with pytest.raises(MapImageError) as batch:
+            dynamics._minimal_periods(slow, np.array([A, B]), 1, self.TOL)
+        assert str(batch.value) == str(ref.value)
+        with pytest.raises(MapImageError) as first_bad_step:
+            _burnt_in(slow, np.array([A, B]), 64)
+        assert str(batch.value) != str(first_bad_step.value)
 
 
 def fixation_time(f: SimplexMap, x0, absorb_tol: float = 1e-9,
