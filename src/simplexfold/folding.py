@@ -212,14 +212,6 @@ class ParamPoly:
                 c if mode == EXACT else float(c))
         return out
 
-    def dparam(self, j: int, mode: str) -> MultiPoly:
-        out = MultiPoly.zero(self.fixed.num_vars,
-                             EXACT if mode == EXACT else FLOAT)
-        for jj, poly in self.terms:
-            if jj == j:
-                out = out + (poly if mode == EXACT else poly.to_float())
-        return out
-
     @classmethod
     def fixed_one(cls, num_vars: int) -> "ParamPoly":
         return cls(MultiPoly.constant(num_vars, 1))

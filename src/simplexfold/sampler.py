@@ -89,9 +89,9 @@ def random_interior_map(cfg: SamplerConfig, rng: np.random.Generator) -> Simplex
 
     S_max is the simplex maximum of the component sum.  For the quadrics
     of a k = 2 cone `simplex.max_on_simplex` evaluates it at the exact
-    maximiser; for higher degree it comes from a lattice scan plus
-    Nelder-Mead.  Membership is still re-checked by sampling and the draw
-    retried when the check fails.
+    maximiser; for higher degree it is a Bernstein upper bound, so 1/S_max
+    never overshoots.  Membership is still re-checked by sampling and the
+    draw retried when the check fails.
     """
     n = cfg.cone.n
     for _ in range(cfg.max_retries):

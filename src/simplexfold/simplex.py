@@ -12,15 +12,18 @@ L2 distance between polynomial maps exact up to the final square root.
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from itertools import permutations
+from math import comb, factorial, lcm, prod
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import exact
-from .polynomial import EXACT, MultiPoly
+from .polynomial import EXACT, MultiPoly, homogenize, monomials_exact
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 
@@ -122,7 +125,7 @@ def barycentric_lattice(n: int, depth: int) -> np.ndarray:
     return np.array(pts, dtype=float) / depth
 
 
-def default_grid_depth(n: int, target: int = 10_000) -> int:
+def default_grid_depth(n: int, target: int) -> int:
     """Smallest depth whose lattice has at least `target` points (10^3 for n=1)."""
     if n == 1:
         return 1000
@@ -152,27 +155,10 @@ def quasi_uniform_points(n: int, count: int) -> np.ndarray:
     return np.diff(np.hstack([z, np.ones((count, 1))]), axis=1)[:, :n]
 
 
-def _project_unit_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    cond = u - (css - 1.0) / idx > 0
-    rho = idx[cond][-1]
-    theta = (css[cond][-1] - 1.0) / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= 1}."""
-    v = np.asarray(v, dtype=float)
-    y = np.maximum(v, 0.0)
-    if y.sum() <= 1.0:
-        return y
-    return _project_unit_simplex(v)
-
-
-# Iteration cap of each Nelder-Mead refinement (degree >= 3).
-_REFINE_ITERS = 200
+# The degree >= 3 subdivision stops at this relative gap, or once more cells
+# than the cap stay live (a maximum along a curve keeps ~1/h cells of side h).
+_GAP_TOL = 1e-12
+_MAX_CELLS = 1 << 14
 
 
 def max_on_simplex(p: MultiPoly) -> tuple[float, np.ndarray]:
@@ -181,19 +167,15 @@ def max_on_simplex(p: MultiPoly) -> tuple[float, np.ndarray]:
     Degree <= 2 is exact by enumeration (`_quadric_candidates`): the
     maximum of a quadric sits at a vertex or at the critical point of its
     restriction to one face, and every such point is found exactly, in
-    integers, by `exact.bareiss`.
-    Higher degree uses a dense lattice scan plus Nelder-Mead refinement
-    from the best interior and per-facet grid points; refinement evaluates
-    p through a Euclidean projection onto the simplex, so iterates never
-    leave the feasible set.  Either way the candidates are evaluated with
-    `eval_many` and the best float value is returned.
+    integers, by `exact.bareiss`.  Higher degree returns an upper bound
+    from Bernstein subdivision (`_max_bernstein`) and the best point seen.
     """
     if p.degree() <= 2:
         cands = _quadric_candidates(p)
         vals = p.eval_many(cands)
         i = int(vals.argmax())
         return float(vals[i]), cands[i]
-    return _max_lattice_nelder_mead(p)
+    return _max_bernstein(p)
 
 
 def _quadric_candidates(p: MultiPoly) -> np.ndarray:
@@ -244,34 +226,59 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
     return np.array(cands, dtype=float)
 
 
-def _max_lattice_nelder_mead(p: MultiPoly) -> tuple[float, np.ndarray]:
-    n = p.num_vars
-    grid = barycentric_lattice(n, default_grid_depth(n))
-    vals = p.eval_many(grid)
-    best_val = float(vals.max())
-    best_pt = grid[int(vals.argmax())]
+@lru_cache(maxsize=32)
+def _bernstein_tables(n: int, k: int):
+    """Degree-k multi-indices on n+1 vertices, their multinomials, corner
+    positions, and per ordered pair (i, j) the matrix to the half where the
+    edge midpoint replaces v_i: b'_a = sum_s C(a_i,s)/2^a_i b_{a-s e_i+s e_j}."""
+    exps = monomials_exact(n + 1, k)
+    pos = {a: r for r, a in enumerate(exps)}
+    e = np.eye(n + 1, dtype=int)
+    halves = {}
+    for i, j in permutations(range(n + 1), 2):
+        T = halves[i, j] = np.zeros((len(exps), len(exps)))
+        for r, a in enumerate(exps):
+            for s in range(a[i] + 1):
+                T[pos[tuple(np.add(a, s * (e[j] - e[i])))], r] = comb(a[i], s) / 2 ** a[i]
+    multi = [factorial(k) // prod(map(factorial, a)) for a in exps]
+    return exps, multi, [pos[tuple(c)] for c in k * e], halves
 
-    seeds = [best_pt]
-    sums = grid.sum(axis=1)
-    for i in range(n):
-        mask = grid[:, i] == 0.0
-        if mask.any():
-            sub = np.flatnonzero(mask)
-            seeds.append(grid[sub[vals[sub].argmax()]])
-    mask = np.isclose(sums, 1.0)
-    if mask.any():
-        sub = np.flatnonzero(mask)
-        seeds.append(grid[sub[vals[sub].argmax()]])
 
-    def neg(x):
-        return -float(p.eval_many(project_to_simplex(x)))
+def _max_bernstein(p: MultiPoly) -> tuple[float, np.ndarray]:
+    """Upper bound on max p over the simplex and the best point seen.
 
-    for seed in seeds:
-        res = minimize(neg, seed, method="Nelder-Mead",
-                       options={"maxiter": _REFINE_ITERS, "xatol": 1e-12,
-                                "fatol": 1e-14})
-        cand = project_to_simplex(res.x)
-        v = float(p.eval_many(cand))
-        if v > best_val:
-            best_val, best_pt = v, cand
-    return best_val, np.asarray(best_pt, dtype=float)
+    Branch and bound on Bernstein coefficients: each round drops the cells
+    whose largest coefficient cannot beat the best corner (p at a vertex) by
+    the gap, and bisects the rest at the midpoint of their longest edge.
+    """
+    n, k = p.num_vars, p.degree()
+    exps, multi, corners, halves = _bernstein_tables(n, k)
+    H = homogenize(p, k).terms
+    B = np.array([[float(H.get(a, 0)) / m for a, m in zip(exps, multi)]])
+    V = np.vstack([np.eye(n), np.zeros(n)])[None]  # e_1..e_n, origin
+    iu, ju = np.triu_indices(n + 1, 1)
+    lo = dropped = -np.inf
+    while True:
+        c, v = np.unravel_index(B[:, corners].argmax(), (len(B), n + 1))
+        if B[c, corners[v]] > lo:
+            lo, best = float(B[c, corners[v]]), V[c, v]
+        top = B.max(axis=1)
+        hi = max(dropped, float(top.max()))
+        slack = _GAP_TOL * max(1.0, abs(lo))
+        live = top > lo + slack
+        dropped = max(dropped, float(top[~live].max(initial=-np.inf)))
+        B, V = B[live], V[live]
+        if hi - lo <= slack or len(B) > _MAX_CELLS:
+            break
+        edge = np.linalg.norm(V[:, iu] - V[:, ju], axis=2).argmax(axis=1)
+        halfB, halfV = [], []
+        for t, (i, j) in enumerate(zip(iu, ju)):
+            b, w = B[edge == t], V[edge == t]
+            halfB += [b @ halves[i, j], b @ halves[j, i]]
+            halfV += [w.copy(), w.copy()]
+            halfV[-2][:, i] = halfV[-1][:, j] = (w[:, i] + w[:, j]) / 2
+        B, V = np.concatenate(halfB), np.concatenate(halfV)
+    if len(B) > _MAX_CELLS:
+        log.debug("max_on_simplex: %d live cells exceed the cap; stopping at "
+                  "gap %.3g", len(B), hi - lo, extra={"cells": len(B), "gap": hi - lo})
+    return hi, best

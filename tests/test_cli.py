@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -51,6 +55,27 @@ class TestConeBuild:
                     "--out", str(out), "--seed", "0"]) == 0
         data = json.loads(out.read_text())
         assert sorted(data["rays"]) == [["0/1", "1/1"], ["1/1", "-1/1"]]
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only dependency: a process where scipy cannot be
+        # imported still maximises a cubic and scales a k = 3 cone
+        out = tmp_path / "cone.json"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None
+            from simplexfold import cli, simplex
+            from simplexfold.polynomial import FLOAT, MultiPoly
+            x, y = MultiPoly.variables(2, FLOAT)
+            val, _ = simplex.max_on_simplex(27 * x * y * (1 - x - y))
+            assert abs(val - 1) < 1e-9, val
+            sys.exit(cli.main(["cone-build", "--n", "1", "--k", "3", "--N", "2",
+                               "--out", {str(out)!r}, "--seed", "0"]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["scaled_rays"]
 
 
 class TestSolveFold:

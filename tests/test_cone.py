@@ -241,6 +241,15 @@ class TestScaleGenerators:
             val, _ = simplex.max_on_simplex(p)
             assert 1 - 1e-6 <= val <= 1 + 1e-6
 
+    def test_cubic_rays_peak_at_one(self):
+        # the divisor is an upper bound on each ray's maximum, so no scaled
+        # ray exceeds 1 beyond rounding, and it is tight to 1e-9
+        rep = enumerate_rays(build_inequalities(2, 3, 1))
+        scale_generators(rep)
+        grid = simplex.barycentric_lattice(2, 300)
+        for p in rep.scaled_rays:
+            assert 1 - 1e-9 <= p.eval_many(grid).max() <= 1 + 1e-15
+
     def test_requires_rays(self):
         rep = build_inequalities(1, 1, 0)
         with pytest.raises(ValueError):

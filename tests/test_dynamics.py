@@ -433,11 +433,13 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             invariant_measure_test(0)
 
+    # scipy 1.17.1's KS statistic of the same pushforward, from
+    #   rng = np.random.Generator(np.random.Philox(key=4))
+    #   x = (1.0 - np.cos(np.pi * rng.random(5000))) / 2.0
+    #   pushed = folding.catalog(f"cheb:{d}").to_float().P[0].eval_many(x[:, None])
+    #   scipy.stats.kstest(pushed, dynamics.arcsine_cdf).statistic
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_statistic_matches_scipy(self, d):
-        stats = pytest.importorskip("scipy.stats")
-        rng = np.random.Generator(np.random.Philox(key=4))
-        x = (1.0 - np.cos(np.pi * rng.random(5000))) / 2.0
-        pushed = folding.catalog(f"cheb:{d}").to_float().P[0].eval_many(x[:, None])
-        ref = stats.kstest(pushed, dynamics.arcsine_cdf).statistic
+        ref = {1: 0.013093404945409337, 2: 0.012528706036375015,
+               3: 0.009694920134339258}[d]
         assert abs(invariant_measure_test(d, 5000, master_seed=4) - ref) <= 1e-15

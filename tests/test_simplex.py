@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -129,13 +130,13 @@ class TestMaxOnSimplex:
 
 
 class TestQuadricMax:
-    """Degree <= 2 is solved exactly face by face; no optimizer runs."""
+    """Degree <= 2 is solved exactly face by face; no subdivision runs."""
 
     @pytest.fixture(autouse=True)
-    def no_optimizer(self, monkeypatch):
+    def no_subdivision(self, monkeypatch):
         def fail(*a, **kw):
-            raise AssertionError("Nelder-Mead ran on a quadric")
-        monkeypatch.setattr(simplex, "minimize", fail)
+            raise AssertionError("Bernstein subdivision ran on a quadric")
+        monkeypatch.setattr(simplex, "_max_bernstein", fail)
 
     @pytest.mark.parametrize("n, depth", [(1, 4000), (2, 200), (3, 40)])
     def test_dense_lattice_brute_force(self, n, depth):
@@ -206,15 +207,15 @@ class TestQuadricMax:
         assert arg.shape == (n,) and simplex.in_simplex(arg, tol=0.0)
 
 
-def test_cubic_uses_nelder_mead(monkeypatch):
+def test_cubic_uses_subdivision(monkeypatch):
     calls = []
-    real = simplex.minimize
+    real = simplex._max_bernstein
 
     def counting(*a, **kw):
         calls.append(1)
         return real(*a, **kw)
 
-    monkeypatch.setattr(simplex, "minimize", counting)
+    monkeypatch.setattr(simplex, "_max_bernstein", counting)
     x, y = MultiPoly.variables(2, FLOAT)
     # 27 x y (1 - x - y) peaks at 1 at the centroid
     val, arg = simplex.max_on_simplex(27 * x * y * (1 - x - y))
@@ -223,9 +224,36 @@ def test_cubic_uses_nelder_mead(monkeypatch):
     assert arg == pytest.approx([1 / 3, 1 / 3], abs=1e-5)
 
 
-def test_project_to_simplex():
-    v = simplex.project_to_simplex([0.8, 0.9])
-    assert v.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (simplex.project_to_simplex([-0.3, 0.4]) == [0.0, 0.4]).all()
-    inside = np.array([0.2, 0.3])
-    assert (simplex.project_to_simplex(inside) == inside).all()
+class TestBernsteinBound:
+    """Degree >= 3: an upper bound within 1e-12 of the best point found."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_polynomials(self, n, k):
+        rng = np.random.default_rng(100 * k + n)
+        mons = monomials_upto(n, k)
+        pts = simplex.sample_uniform(n, 100_000, rng)
+        for _ in range(5):
+            p = MultiPoly(n, {m: float(c) for m, c in
+                              zip(mons, rng.standard_normal(len(mons)))}, FLOAT)
+            val, arg = simplex.max_on_simplex(p)
+            at = float(p.eval_many(arg))
+            assert simplex.in_simplex(arg, tol=0.0)
+            assert val >= at
+            assert val >= p.eval_many(pts).max() - 1e-12
+            assert val - at <= 1e-12 * max(1.0, abs(at))
+
+    def test_maximum_on_an_arc_hits_the_cell_cap(self, caplog):
+        # 1 - (x^2 + y^2 - 1/4)^2 is maximal along a whole circle arc, so
+        # near-maximal cells multiply until the cap stops the subdivision
+        x, y = MultiPoly.variables(2, FLOAT)
+        p = 1 - (x * x + y * y - 0.25) ** 2
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.simplex"):
+            val, arg = simplex.max_on_simplex(p)
+        record, = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.cells > simplex._MAX_CELLS
+        assert record.gap == val - 1.0 > 1e-12
+        pts = simplex.sample_uniform(2, 100_000, np.random.default_rng(12))
+        assert val >= p.eval_many(pts).max() - 1e-12
+        assert val >= float(p.eval_many(arg)) == 1.0
