@@ -1,9 +1,10 @@
 """Batched damped Newton for small polynomial systems on the simplex.
 
 All multistart root searches in the package (fixed points, preimages)
-funnel through here: seeds advance in lockstep as numpy batches, each row
-owning its own damping factor, and rows die when their Jacobian goes
-singular or thirty halvings fail to reduce the residual.
+funnel through solve_on_simplex, which builds its own seeds: they advance
+in lockstep as numpy batches, each row owning its own damping factor, and
+rows die when their Jacobian goes singular or thirty halvings fail to
+reduce the residual.
 
 Each iteration tries the full step on every working row in one F call.  The
 rows it fails try the halved steps 2^-1, 2^-2, ... in blocks, one F call
@@ -24,16 +25,21 @@ from .maps import SimplexMap
 
 log = logging.getLogger(__name__)
 
+# A seed has converged when max |F| <= RESIDUAL_TOL; a root counts as inside
+# the simplex when no coordinate is below -INCLUSION_TOL and their sum is at
+# most 1 + INCLUSION_TOL.
+RESIDUAL_TOL = 1e-12
+INCLUSION_TOL = 1e-10
 
-def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
-                 max_iter: int = 80, max_halvings: int = 30):
+
+def newton_batch(F, J, seeds: np.ndarray, max_iter: int = 80, max_halvings: int = 30):
     """Damped Newton from every seed at once.
 
     F maps (m, n) -> (m, n) residuals row by row, J maps (m, n) -> (m, n, n).
     Returns (points, residual_norms, dropped) for the seeds that converged;
     dropped counts the others by reason: "singular" (Jacobian determinant
     below 1e-300), "halvings_exhausted" (no step length 2^-h, h <= max_halvings,
-    reduced the residual) and "max_iter" (still above residual_tol).
+    reduced the residual) and "max_iter" (still above RESIDUAL_TOL).
     """
     X = np.array(seeds, dtype=float)
     m, n = X.shape
@@ -42,7 +48,7 @@ def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
     alive = np.ones(m, dtype=bool)
     dropped = {"singular": 0, "halvings_exhausted": 0, "max_iter": 0}
     for _ in range(max_iter):
-        work = np.flatnonzero(alive & (rn > residual_tol))
+        work = np.flatnonzero(alive & (rn > RESIDUAL_TOL))
         if work.size == 0:
             break
         Jw = J(X[work])
@@ -61,7 +67,7 @@ def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
             cand = X[work, None, :] - lam[None, :, None] * delta[:, None, :]
             G2 = F(cand.reshape(-1, n)).reshape(work.size, width, n)
             rn2 = np.abs(G2).max(axis=2)
-            good = (rn2 < rn[work, None]) | (rn2 <= residual_tol)
+            good = (rn2 < rn[work, None]) | (rn2 <= RESIDUAL_TOL)
             found = good.any(axis=1)
             first = good[found].argmax(axis=1)
             rows = work[found]
@@ -70,7 +76,7 @@ def newton_batch(F, J, seeds: np.ndarray, residual_tol: float = 1e-12,
             h += width
         alive[work] = False
         dropped["halvings_exhausted"] += int(work.size)
-    conv = alive & (rn <= residual_tol)
+    conv = alive & (rn <= RESIDUAL_TOL)
     dropped["max_iter"] = int(np.count_nonzero(alive & ~conv))
     return X[conv], rn[conv], dropped
 
@@ -93,12 +99,10 @@ def dedup_points(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def default_seeds(n: int, lattice_target: int, n_random: int,
-                  rng: np.random.Generator, include_vertices: bool = True) -> np.ndarray:
-    """Barycentric lattice + uniform random points + vertices."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """Vertices + barycentric lattice + uniform random points."""
     depth = simplex.default_grid_depth(n, target=lattice_target) if lattice_target else 0
-    parts = []
-    if include_vertices:
-        parts.append(simplex.vertices(n))
+    parts = [simplex.vertices(n)]
     if depth:
         parts.append(simplex.barycentric_lattice(n, depth))
     if n_random:
@@ -106,14 +110,14 @@ def default_seeds(n: int, lattice_target: int, n_random: int,
     return np.vstack(parts)
 
 
-def solve_on_simplex(f: SimplexMap, target=None, seeds: np.ndarray | None = None,
-                     *, lattice_target: int = 2000, n_random: int = 1000,
-                     rng: np.random.Generator | None = None,
-                     dedup_tol: float = 1e-8, residual_tol: float = 1e-12,
-                     inclusion_tol: float = 1e-10):
+def solve_on_simplex(f: SimplexMap, target=None, *, lattice_target: int = 2000,
+                     n_random: int = 1000, seed: int = 0, dedup_tol: float = 1e-8):
     """Roots of f(x) = target (or f(x) = x when target is None) inside the simplex.
 
-    Returns an array of deduplicated solutions sorted lexicographically.
+    Newton starts from the vertices, a barycentric lattice of about
+    lattice_target points and n_random uniform points drawn from
+    make_rng(seed).  Returns an array of the roots inside the simplex,
+    deduplicated at dedup_tol and sorted lexicographically.
     """
     coeffs = f.coefficients()
     fixed_point = target is None
@@ -129,12 +133,9 @@ def solve_on_simplex(f: SimplexMap, target=None, seeds: np.ndarray | None = None
         Jm = coeffs.jacobians(X)
         return Jm - eye[None, :, :] if fixed_point else Jm
 
-    if seeds is None:
-        if rng is None:
-            rng = sampler.make_rng(0)
-        seeds = default_seeds(f.n, lattice_target, n_random, rng)
-    pts, _, dropped = newton_batch(F, J, seeds, residual_tol=residual_tol)
-    inside = (pts.min(axis=1) >= -inclusion_tol) & (pts.sum(axis=1) <= 1 + inclusion_tol)
+    seeds = default_seeds(f.n, lattice_target, n_random, sampler.make_rng(seed))
+    pts, _, dropped = newton_batch(F, J, seeds)
+    inside = (pts.min(axis=1) >= -INCLUSION_TOL) & (pts.sum(axis=1) <= 1 + INCLUSION_TOL)
     dropped["outside_simplex"] = int(np.count_nonzero(~inside))
     kept = dedup_points(pts[inside], dedup_tol)
     log.debug("solve_on_simplex: %d seeds, %d converged, dropped %s, %d kept",

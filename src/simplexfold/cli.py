@@ -229,12 +229,16 @@ def cmd_verify_fold(args) -> int:
 
 
 def cmd_fig6(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-
     if args.cone and Path(args.cone).exists():
         rep = cone.load_json(args.cone)
+        problem = (f"is ({rep.n},{rep.k},{rep.N}), not (2,2,{args.N})"
+                   if (rep.n, rep.k, rep.N) != (2, 2, args.N)
+                   else "has no scaled generators" if rep.scaled_vectors is None
+                   else None)
+        if problem:
+            print(f"fig6: cone {args.cone} {problem}", file=sys.stderr)
+            return 1
     else:
         rep = cone.build_inequalities(2, 2, args.N)
         cone.enumerate_rays(rep)
@@ -242,6 +246,8 @@ def cmd_fig6(args) -> int:
         if args.cone:
             cone.save_json(rep, args.cone)
     cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     f_star = folding.catalog("tri:f2")
     samples = [f_star.to_float()]
@@ -355,8 +361,12 @@ def cmd_preimage_count(args) -> int:
     else:
         with open(args.map) as fh:
             f = SimplexMap.from_json(json.load(fh))
-    y = [float(v) for v in args.target.split(",")]
-    count, pts = folding.preimage_count(f, y, n_seeds=args.n_seeds, seed=seed)
+    try:
+        y = [float(v) for v in args.target.split(",")]
+        count, pts = folding.preimage_count(f, y, seed=seed)
+    except ValueError as exc:
+        print(f"preimage-count: {exc}", file=sys.stderr)
+        return 1
     print(f"{count} preimage(s) of {y} under {f.label or 'map'}")
     for p in pts:
         print("  " + " ".join(_fmt(float(v)) for v in p))
@@ -455,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--map", help="map JSON path")
     g.add_argument("--catalog", help="catalog name")
     p.add_argument("--target", required=True, help="comma-separated coordinates")
-    p.add_argument("--n-seeds", type=int, default=500)
     p.add_argument("--out")
     p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_preimage_count)

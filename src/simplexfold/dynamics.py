@@ -13,10 +13,10 @@ The deformation scan runs in one process: after each map's distance and
 fixed points, the orbits of all its maps advance as one lockstep batch,
 each row through its own map's coefficients (maps.MapCoefficients), and a
 map that leaves the simplex fails only its own row.  Every open row shares
-Brent's anchor distance and power, so the rows that come back within tol
-of their anchor on one step share one period-check horizon: each map's
-candidates advance through that horizon as one apply_many batch, and the
-shift test then gives each row the period it gets when checked alone.
+Brent's anchor distance and power, so the rows that come back within
+ORBIT_TOL of their anchor on one step share one period-check horizon: each
+map's candidates advance through that horizon as one apply_many batch, and
+the shift test then gives each row the period it gets when checked alone.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ FAILED = "failed"
 log = logging.getLogger(__name__)
 
 _CLASS_BAND = 1e-9
+# an orbit step, or a return to Brent's anchor, shorter than this (l-infinity)
+# counts as a standstill or a revisit
+ORBIT_TOL = 1e-10
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -117,21 +120,18 @@ def _is_identity(f: SimplexMap) -> bool:
 
 def find_fixed_points(f: SimplexMap, *, lattice_target: int = 2000,
                       n_random: int = 1000, seed: int = 0,
-                      dedup_tol: float = 1e-8, residual_tol: float = 1e-12,
-                      inclusion_tol: float = 1e-10) -> FixedPointReport:
+                      dedup_tol: float = 1e-8) -> FixedPointReport:
     """All fixed points of f in the simplex, with Jacobian spectra.
 
     Seeds: a ~2000-point barycentric lattice, 1000 uniform points and the
-    vertices.  Every reported point satisfies ||f(x)-x||_inf < residual_tol
-    on re-evaluation; the identity map is flagged degenerate instead of
-    reporting a continuum.
+    vertices.  Every reported point satisfies ||f(x)-x||_inf <=
+    _newton.RESIDUAL_TOL on re-evaluation; the identity map is flagged
+    degenerate instead of reporting a continuum.
     """
     if _is_identity(f):
         return FixedPointReport([], degenerate_identity=True)
-    pts = _newton.solve_on_simplex(f, target=None, lattice_target=lattice_target,
-                                   n_random=n_random, rng=sampler.make_rng(seed),
-                                   dedup_tol=dedup_tol, residual_tol=residual_tol,
-                                   inclusion_tol=inclusion_tol)
+    pts = _newton.solve_on_simplex(f, lattice_target=lattice_target,
+                                   n_random=n_random, seed=seed, dedup_tol=dedup_tol)
     coeffs = f.coefficients()
     residuals = np.abs(coeffs.values(pts) - pts).max(axis=1)
     out = []
@@ -193,8 +193,8 @@ def _minimal_periods(f: SimplexMap, X: np.ndarray, lam: int, tol: float) -> list
             for j in range(X.shape[0])]
 
 
-def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
-                    burn_in: int = 1000, *, map_index=None) -> list[OrbitVerdict]:
+def classify_orbits(f, x0s, window: int = 10_000, burn_in: int = 1000, *,
+                    map_index=None) -> list[OrbitVerdict]:
     """Brent cycle detection for a batch of orbits advanced in lockstep.
 
     f is one map for every row of x0s, or a sequence of maps with
@@ -263,18 +263,18 @@ def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
         done = failed[owner[open_rows]]
         # converged: two consecutive sub-tol steps that are not growing,
         # so a slow escape from a repelling point does not count
-        conv = (step < tol) & (prev_step < tol) & (step <= prev_step) & ~done
+        conv = (step < ORBIT_TOL) & (prev_step < ORBIT_TOL) & (step <= prev_step) & ~done
         prev_step = step
         for r in np.flatnonzero(conv):
             finish(r, CONVERGED_FIXED, burn_in + t)
             done[r] = True
-        cand = np.flatnonzero((danchor < tol) & ~done)
+        cand = np.flatnonzero((danchor < ORBIT_TOL) & ~done)
         if cand.size:
             maps_of = owner[open_rows[cand]]
             for k in np.unique(maps_of):
                 rows = cand[maps_of == k]
                 try:
-                    periods = _minimal_periods(fs[k], X[rows], lam, tol)
+                    periods = _minimal_periods(fs[k], X[rows], lam, ORBIT_TOL)
                 except MapImageError as exc:
                     fail(k, burn_in + t, exc)
                     continue
@@ -307,8 +307,8 @@ def classify_orbits(f, x0s, window: int = 10_000, tol: float = 1e-10,
 
 
 def classify_orbit(f: SimplexMap, x0, window: int = 10_000,
-                   tol: float = 1e-10, burn_in: int = 1000) -> OrbitVerdict:
-    return classify_orbits(f, [x0], window=window, tol=tol, burn_in=burn_in)[0]
+                   burn_in: int = 1000) -> OrbitVerdict:
+    return classify_orbits(f, [x0], window=window, burn_in=burn_in)[0]
 
 
 # -- deformation scan --------------------------------------------------------------
@@ -336,13 +336,13 @@ def _gradedlex(f: SimplexMap) -> SimplexMap:
 
 
 def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20, *,
-                window: int = 10_000, burn_in: int = 1000, tol: float = 1e-10,
-                master_seed: int = 0, lattice_target: int = 200,
-                n_random: int = 100) -> list[ScanRow]:
+                window: int = 10_000, burn_in: int = 1000,
+                master_seed: int = 0) -> list[ScanRow]:
     """Distance / spectrum / orbit-verdict table for a batch of deformations.
 
     Row i scans samples[i]: its L2 distance to f_star, its fixed points
-    (Newton seeded from master_seed ^ i) and the verdicts of trials_per_map
+    (Newton from the vertices, a ~200-point lattice and 100 uniform points
+    drawn with seed master_seed ^ i) and the verdicts of trials_per_map
     uniform starts drawn from Philox(key=[master_seed, i]); the row is
     green when every orbit stays nonperiodic through the window.  The
     orbits of every map are classified in one lockstep batch.  A failure
@@ -364,8 +364,8 @@ def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20, *,
         g = _gradedlex(g)
         try:
             dist = simplex.l2_distance(f_star, g)
-            report = find_fixed_points(g, lattice_target=lattice_target,
-                                       n_random=n_random, seed=master_seed ^ index)
+            report = find_fixed_points(g, lattice_target=200, n_random=100,
+                                       seed=master_seed ^ index)
         except Exception as exc:  # row-level containment per the scan contract
             rows[index] = _failed_row(index, f"{type(exc).__name__}: {exc}")
             continue
@@ -377,7 +377,7 @@ def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20, *,
     if scanned:
         verdicts = classify_orbits(
             [g for _, g, _, _ in scanned], np.vstack(starts), window=window,
-            tol=tol, burn_in=burn_in,
+            burn_in=burn_in,
             map_index=np.repeat(np.arange(len(scanned)), trials_per_map))
     for k, (index, g, dist, report) in enumerate(scanned):
         kinds = verdicts[k * trials_per_map:(k + 1) * trials_per_map]

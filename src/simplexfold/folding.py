@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _newton, maps, sampler, simplex
+from . import _newton, maps, positivity, sampler
 from .polynomial import (EXACT, FLOAT, MultiPoly, divide_by_linear,
                          gradedlex_key, linear_form, monomials_upto)
 
@@ -490,9 +490,8 @@ def _passes_sign_constraints(template: FoldTemplate, params) -> bool:
             if not float(params[idx]) > 1e-9:
                 return False
         elif kind == "m_nonneg_on_simplex":
-            mv = template.m[idx].instantiate(params, FLOAT)
-            pts = simplex.quasi_uniform_points(template.n, 20_000)
-            if mv.eval_many(pts).min() < -1e-9:
+            m = template.m[idx].instantiate(params, FLOAT)
+            if not positivity.nonneg_on_simplex(m).ok:
                 return False
         else:
             raise ValueError(f"unknown sign constraint {kind!r}")
@@ -610,7 +609,6 @@ RESIDUAL_TOL = 1e-10
 COND_TOL = 1e-6
 DEDUP_TOL = 1e-8
 MAX_DENOMINATOR = 10 ** 6
-MEMBERSHIP_MODE = "sampled"
 
 # gamma comes from one fixed key, so solve_fold's outputs depend on no seed
 _GAMMA_KEY = 0x70D
@@ -785,7 +783,7 @@ def solve_fold(template: FoldTemplate) -> list[FoldSolution]:
             dropped["crease"] += 1
             continue
         fmap = assemble_map(template, list(params))
-        if not maps.membership_check(fmap.to_float(), mode=MEMBERSHIP_MODE).ok:
+        if not maps.membership_check(fmap.to_float()).ok:
             dropped["membership"] += 1
             continue
         mode = _params_mode(list(params))
@@ -866,11 +864,7 @@ def verify_factorization(f: maps.SimplexMap,
         prod = prod * li
     checks["l_product"] = (prod == boundary, "product of facet factors vs boundary monomial")
 
-    m_ok = True
-    for i, mi in enumerate(factors.m):
-        pts = simplex.quasi_uniform_points(n, 20_000)
-        if mi.to_float().eval_many(pts).min() < -1e-9:
-            m_ok = False
+    m_ok = all(positivity.nonneg_on_simplex(mi.to_float()).ok for mi in factors.m)
     checks["m_nonneg"] = (m_ok, "sampled non-negativity of cofactors")
 
     budget = all(factors.l[i].degree() + 2 * factors.q[i].degree()
@@ -883,22 +877,20 @@ def verify_factorization(f: maps.SimplexMap,
 # -- preimage counting -----------------------------------------------------------
 
 
-def preimage_count(f: maps.SimplexMap, y, *, n_seeds: int = 500,
-                   lattice_share: float = 0.5, seed: int = 0,
-                   dedup_tol: float = 1e-8, residual_tol: float = 1e-12,
-                   inclusion_tol: float = 1e-10):
+def preimage_count(f: maps.SimplexMap, y, *, seed: int = 0):
     """Number of simplex preimages of a strictly interior target point.
 
-    Multistart Newton on f(x) = y; returns (count, points).  A count of
-    zero for a map believed onto signals missed basins, not absence.
+    Multistart Newton on f(x) = y from the vertices, a ~250-point lattice
+    and 250 uniform points drawn from make_rng(seed); returns (count,
+    points).  A count of zero for a map believed onto signals missed
+    basins, not absence.
     """
     y = np.asarray(y, dtype=float)
+    if y.shape != (f.n,):
+        raise ValueError(f"target {y.tolist()} has {y.size} coordinate(s), "
+                         f"the map has {f.n}")
     if y.min() <= 0 or y.sum() >= 1:
         raise ValueError("target must be strictly interior")
-    rng = sampler.make_rng(seed)
-    n_lattice = int(n_seeds * lattice_share)
-    seeds = _newton.default_seeds(f.n, n_lattice, n_seeds - n_lattice, rng)
-    pts = _newton.solve_on_simplex(f, target=y, seeds=seeds,
-                                   dedup_tol=dedup_tol, residual_tol=residual_tol,
-                                   inclusion_tol=inclusion_tol)
+    pts = _newton.solve_on_simplex(f, target=y, lattice_target=250, n_random=250,
+                                   seed=seed)
     return len(pts), pts

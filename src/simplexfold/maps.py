@@ -114,11 +114,6 @@ class SimplexMap:
         simplex.check_in_simplex(x, tol)
         return self.apply_many(np.asarray(x, dtype=float), tol, clamp_log)
 
-    # -- algebra -------------------------------------------------------------
-
-    def membership_check(self, mode: str = "sampled", tol: float = 1e-9):
-        return membership_check(self, mode, tol)
-
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k,
                 "P": [p.to_json() for p in self.P], "label": self.label}
@@ -276,11 +271,9 @@ class MembershipReport:
         return f"MembershipReport(ok={self.ok})"
 
 
-def membership_check(f: SimplexMap, mode: str = "sampled",
-                     tol: float = 1e-9) -> MembershipReport:
-    """Non-negativity of every P_i and of 1 - sum(P_i) on the simplex."""
-    verdicts = [positivity.nonneg_on_simplex(p, mode=mode, tol=tol)
-                for p in f.components_full()]
+def membership_check(f: SimplexMap) -> MembershipReport:
+    """Sampled non-negativity of every P_i and of 1 - sum(P_i) on the simplex."""
+    verdicts = [positivity.nonneg_on_simplex(p) for p in f.components_full()]
     return MembershipReport(all(v.ok for v in verdicts), verdicts)
 
 

@@ -29,6 +29,10 @@ from .cone import ConeRep
 from .maps import SimplexMap
 from .polynomial import FLOAT, MultiPoly
 
+# draws per random interior map, and interior maps per deformation, before
+# the sampler gives up
+MAX_RETRIES = 10
+
 
 def make_rng(*key) -> np.random.Generator:
     """Philox generator keyed by integers; the package-wide rng recipe.
@@ -55,7 +59,6 @@ class SamplerConfig:
     dirichlet_alpha: float = 1e-3
     master_seed: int = 0
     epsilon: float = 0.05
-    max_retries: int = 10
 
     def __post_init__(self):
         if self.dirichlet_alpha <= 0 or self.epsilon <= 0:
@@ -94,7 +97,7 @@ def random_interior_map(cfg: SamplerConfig, rng: np.random.Generator) -> Simplex
     draw retried when the check fails.
     """
     n = cfg.cone.n
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         polys = [random_positive_poly(cfg, rng) for _ in range(n)]
         total = polys[0]
         for p in polys[1:]:
@@ -107,9 +110,9 @@ def random_interior_map(cfg: SamplerConfig, rng: np.random.Generator) -> Simplex
         t_star = rng.uniform(0.0, 1.0 / s_max)
         f = SimplexMap(n, cfg.cone.k, [p * t_star for p in polys],
                        label=f"sampler:seed={cfg.master_seed}")
-        if maps.membership_check(f, mode="sampled").ok:
+        if maps.membership_check(f).ok:
             return f
-    raise RuntimeError(f"no member map after {cfg.max_retries} draws "
+    raise RuntimeError(f"no member map after {MAX_RETRIES} draws "
                        "(S_max underestimated repeatedly)")
 
 
@@ -121,7 +124,7 @@ def deform(f_star: SimplexMap, cfg: SamplerConfig,
     t ~ U(0, min(1, epsilon / ||f_star - r||)]; by linearity
     ||f_star - g|| = t ||f_star - r|| <= epsilon.
     """
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         r = random_interior_map(cfg, rng)
         dist = simplex.l2_distance(f_star, r)
         if dist > 0:

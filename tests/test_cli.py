@@ -139,6 +139,23 @@ class TestFig6:
                  "--window", "100", "--burn-in", "10", "--out-dir", str(out)])
         assert (a / "fig6.csv").read_bytes() == (b / "fig6.csv").read_bytes()
 
+    @pytest.mark.parametrize("built, message", [
+        (["--N", "1"], "is (2,2,1), not (2,2,2)"),
+        (["--N", "2", "--no-scale"], "has no scaled generators"),
+    ])
+    def test_unsuitable_cone_refused(self, built, message, tmp_path, capsys):
+        cone_path = tmp_path / "cone" / "cone.json"
+        assert run(["cone-build", "--n", "2", "--k", "2", *built,
+                    "--out", str(cone_path), "--seed", "0"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "f6"
+        assert run(["fig6", "--count", "2", "--seed", "5", "--N", "2",
+                    "--cone", str(cone_path), "--window", "100", "--burn-in", "10",
+                    "--out-dir", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and message in stderr
+        assert not out.exists()
+
 
 class TestDeformSample:
     def test_sample_directory(self, tmp_path):
@@ -218,6 +235,19 @@ class TestPreimageCount:
                     "--seed", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["count"] == 3
+
+    @pytest.mark.parametrize("name, target, message", [
+        ("tri:f2", "0.3", "1 coordinate(s), the map has 2"),
+        ("cheb:2", "0.3,0.2", "2 coordinate(s), the map has 1"),
+        ("tri:f2", "0.3,abc", "could not convert"),
+    ])
+    def test_bad_target_fails(self, name, target, message, tmp_path, capsys):
+        out = tmp_path / "pre.json"
+        assert run(["preimage-count", "--catalog", name, "--target", target,
+                    "--seed", "0", "--out", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and message in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_hashes_outputs(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexfold import folding, maps, simplex
+from simplexfold import folding, maps, positivity, simplex
 from simplexfold.folding import (FoldSolveError, ParamPoly, catalog,
                                  catalog_factors, fold_order, preimage_count,
                                  residual, solve_fold, verify_factorization)
@@ -299,6 +299,43 @@ class TestPreimageCount:
     def test_boundary_target_rejected(self):
         with pytest.raises(ValueError):
             preimage_count(catalog("tri:f2"), [0.0, 0.5])
+
+    @pytest.mark.parametrize("name, y", [("tri:f2", [0.3]), ("cheb:2", [0.3, 0.2])])
+    def test_target_of_wrong_dimension_rejected(self, name, y):
+        with pytest.raises(ValueError, match=f"{len(y)} coordinate"):
+            preimage_count(catalog(name), y)
+
+
+class TestOneSignTest:
+    """Every sampled sign test goes through positivity.nonneg_on_simplex."""
+
+    @pytest.fixture
+    def failing_sign_test(self, monkeypatch):
+        calls = []
+
+        def fail(p):
+            calls.append(p)
+            return positivity.NonnegVerdict(False, "sampled", min_value=-1.0)
+
+        monkeypatch.setattr(positivity, "nonneg_on_simplex", fail)
+        return calls
+
+    def test_verify_factorization_cofactors(self, failing_sign_test):
+        report = verify_factorization(catalog("tri:f2"), catalog_factors("tri:f2"))
+        assert report.checks["m_nonneg"][0] is False
+        assert not report.ok
+        # every other check is exact and still passes
+        assert all(ok for name, (ok, _) in report.checks.items() if name != "m_nonneg")
+        assert failing_sign_test
+
+    def test_solve_fold_drops_under_sign(self, failing_sign_test, caplog):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
+            sols = solve_fold(folding.two_simplex_twofold_template())
+        record, = caplog.records
+        assert sols == [] and record.solutions == 0
+        assert record.dropped["sign"] == record.real - record.dropped["dedup"] > 0
+        assert record.dropped["crease"] == record.dropped["membership"] == 0
+        assert failing_sign_test
 
 
 def _bisection_root_count(p, target, grid=20001):

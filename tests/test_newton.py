@@ -154,6 +154,21 @@ class TestNewtonBatch:
         assert capsys.readouterr() == ("", "")
 
 
+class TestPreimageSeeding:
+    @pytest.mark.parametrize("name, y, seed", [("tri:f4", (0.3, 0.2), 0),
+                                               ("tri:f9", (0.3, 0.3), 7),
+                                               ("cheb:3", (0.37,), 2)])
+    def test_count_is_newton_from_preimage_seeds(self, name, y, seed):
+        f = folding.catalog(name)
+        F, J = system(f, y)
+        pts, _res, _dropped = newton_batch(F, J, preimage_seeds(f.n, seed))
+        inside = (pts.min(axis=1) >= -1e-10) & (pts.sum(axis=1) <= 1 + 1e-10)
+        want = dedup_points(pts[inside], 1e-8)
+        count, got = folding.preimage_count(f, y, seed=seed)
+        assert count == len(want) == folding.fold_order(name)
+        assert np.array_equal(got, want)
+
+
 class TestDedup:
     TOL = 1e-8
 
