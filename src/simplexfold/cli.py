@@ -49,13 +49,30 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2^64), the range make_rng keys
-    without aliasing one seed onto another."""
-    seed = int(text)
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"seed {seed} outside [0, 2^64)")
-    return seed
+def _number(name: str, cast, low, high, interval: str):
+    """An argparse type: the text cast to a number with low < value <= high."""
+    def parse(text: str):
+        value = cast(text)
+        if not low < value <= high:
+            raise argparse.ArgumentTypeError(f"{name} {value} outside {interval}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+# make_rng keys on the seed mod 2^64, so a seed outside [0, 2^64) would alias
+_seed = _number("seed", int, -1, 2 ** 64 - 1, "[0, 2^64)")
+_eps = _number("eps", float, 0, sys.float_info.max, "(0, inf)")
+_positive_int = _number("integer", int, 0, float("inf"), "[1, inf)")
+# fig7 starts in the corner square (0, region)^2, inside the triangle
+_region = _number("region", float, 0, 0.5, "(0, 1/2]")
+
+
+def _orders(text: str) -> str:
+    """measure-test's --d, fold orders >= 1, kept as typed for the manifest."""
+    for d in text.split(","):
+        _positive_int(d)
+    return text
 
 
 def _resolve_seed(args) -> int:
@@ -86,6 +103,14 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
 
 def _dump_json(path: Path, data) -> None:
     path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")))
+
+
+def _write_output(path, data, args, seed: int) -> None:
+    """Write a run's one JSON output, and its manifest beside it."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _dump_json(out, data)
+    _write_manifest(out.parent, args.command, args, seed, [out])
 
 
 # -- tables ---------------------------------------------------------------------
@@ -152,9 +177,13 @@ def cmd_tables(args) -> int:
 
 def cmd_cone_build(args) -> int:
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    rep = cone.build_inequalities(args.n, args.k, args.N)
+    try:
+        rep = cone.build_inequalities(args.n, args.k, args.N)
+    except ValueError as exc:
+        print(f"cone-build: {exc}", file=sys.stderr)
+        return 1
+    out.parent.mkdir(parents=True, exist_ok=True)
     cone.enumerate_rays(rep)
     if not args.no_scale:
         cone.scale_generators(rep)
@@ -168,18 +197,15 @@ def cmd_cone_build(args) -> int:
 # -- solve-fold -------------------------------------------------------------------
 
 
-def _load_template(args) -> folding.FoldTemplate:
-    if args.builtin:
-        return folding.BUILTIN_TEMPLATES[args.builtin]()
-    with open(args.template) as fh:
-        return folding.FoldTemplate.from_json(json.load(fh))
-
-
 def cmd_solve_fold(args) -> int:
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    template = _load_template(args)
+    try:
+        template = (folding.BUILTIN_TEMPLATES[args.builtin]() if args.builtin
+                    else folding.FoldTemplate.from_json(
+                        json.loads(Path(args.template).read_text())))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"solve-fold: {exc}", file=sys.stderr)
+        return 1
     try:
         solutions = folding.solve_fold(template)
     except folding.FoldSolveError as exc:
@@ -194,9 +220,8 @@ def cmd_solve_fold(args) -> int:
             "residual_norm": s.residual_norm,
             "map": s.map.to_json(),
         })
-    _dump_json(out, {"template": template.name, "solutions": payload})
-    _write_manifest(out.parent, "solve-fold", args, seed, [out])
-    print(f"solve-fold[{template.name}]: {len(solutions)} solution(s) -> {out}")
+    _write_output(args.out, {"template": template.name, "solutions": payload}, args, seed)
+    print(f"solve-fold[{template.name}]: {len(solutions)} solution(s) -> {args.out}")
     for s in solutions:
         print("  " + ", ".join(f"{k}={v}" for k, v in s.named_params().items()))
     return 0
@@ -217,11 +242,9 @@ def cmd_verify_fold(args) -> int:
     for name, (ok, detail) in report.checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _dump_json(out, {name: {"ok": ok, "detail": d}
-                         for name, (ok, d) in report.checks.items()})
-        _write_manifest(out.parent, "verify-fold", args, _resolve_seed(args), [out])
+        _write_output(args.out, {name: {"ok": ok, "detail": d}
+                                 for name, (ok, d) in report.checks.items()},
+                      args, _resolve_seed(args))
     return 0 if report.ok else 1
 
 
@@ -280,12 +303,16 @@ def cmd_fig6(args) -> int:
 
 def cmd_deform_sample(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    with open(args.map) as fh:
-        f_star = SimplexMap.from_json(json.load(fh))
-    rep = cone.load_json(args.cone)
-    cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
+    try:
+        with open(args.map) as fh:
+            f_star = SimplexMap.from_json(json.load(fh))
+        rep = cone.load_json(args.cone)
+        cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"deform-sample: {exc}", file=sys.stderr)
+        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
         g = sampler.deform(f_star, cfg, sampler.make_rng(seed, i))
@@ -344,10 +371,7 @@ def cmd_measure_test(args) -> int:
     for d, ks in stats.items():
         print(f"cheb:{d}  KS = {_fmt(ks)}  (N = {args.samples})")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _dump_json(out, {str(d): ks for d, ks in stats.items()})
-        _write_manifest(out.parent, "measure-test", args, seed, [out])
+        _write_output(args.out, {str(d): ks for d, ks in stats.items()}, args, seed)
     return 0
 
 
@@ -371,11 +395,9 @@ def cmd_preimage_count(args) -> int:
     for p in pts:
         print("  " + " ".join(_fmt(float(v)) for v in p))
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _dump_json(out, {"target": y, "count": count,
-                         "preimages": [[float(v) for v in p] for p in pts]})
-        _write_manifest(out.parent, "preimage-count", args, seed, [out])
+        _write_output(args.out, {"target": y, "count": count,
+                                 "preimages": [[float(v) for v in p] for p in pts]},
+                      args, seed)
     return 0
 
 
@@ -421,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_fold)
 
     p = sub.add_parser("fig6", help="deformation scan of the triangle two-fold")
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_eps, default=0.05)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--cone", help="cone JSON to load or save")
     p.add_argument("--out-dir", default="fig6_out")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--window", type=int, default=10_000)
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--jobs", type=int,
@@ -438,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform-sample", help="sample deformations of a map")
     p.add_argument("--map", required=True, help="reference map JSON")
     p.add_argument("--cone", required=True, help="scaled cone JSON")
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_eps, default=0.05)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_seed)
@@ -446,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig7", help="fixation times of the nine-fold")
     p.add_argument("--count", type=int, default=10_000)
-    p.add_argument("--region", type=float, default=0.01)
+    p.add_argument("--region", type=_region, default=0.01)
     p.add_argument("--absorb-tol", type=float, default=1e-9)
     p.add_argument("--max-iters", type=int, default=100_000)
     p.add_argument("--out-dir", default="fig7_out")
@@ -454,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig7)
 
     p = sub.add_parser("measure-test", help="arcsine invariant measure KS test")
-    p.add_argument("--d", default="2,3,4", help="comma-separated fold orders")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--d", type=_orders, default="2,3,4",
+                   help="comma-separated fold orders")
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--out")
     p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_measure_test)

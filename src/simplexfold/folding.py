@@ -27,8 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import _newton, maps, positivity, sampler
-from .polynomial import (EXACT, FLOAT, MultiPoly, divide_by_linear,
-                         gradedlex_key, linear_form, monomials_upto)
+from .polynomial import (EXACT, FLOAT, MultiPoly, derivative_terms,
+                         divide_by_linear, eval_terms, gradedlex_key,
+                         linear_form, monomials_upto)
 
 log = logging.getLogger(__name__)
 
@@ -523,82 +524,52 @@ def _crease_structure_ok(template: FoldTemplate, params) -> bool:
 
 
 class _CompiledTemplate:
-    """Tensor form of the residual for the homotopy's inner loop.
+    """The coefficient equations of a template as eval_terms term tables.
 
-    Each factor's coefficient vector is affine in theta (q = Q0 + QM theta),
-    and the coefficient vector of l * q^2 * m is trilinear in those vectors,
-    encoded once as a dense tensor T[out, a, b, c].  Residual and Jacobian
-    evaluations then reduce to batched einsums, in float or complex
-    arithmetic, following the dtype of theta.  `degrees[o]` is the total
-    degree in theta of equation o read off T: the largest number of
-    theta-dependent factors over the nonzero entries T[o, a, b, c].
+    l_i, q_i and m_i are lifted exactly into n + P variables (theta_j is
+    variable n + j) and R = 1 - sum_i l_i q_i^2 m_i is expanded once.  Its
+    terms split by their x-part into one polynomial in theta per monomial of
+    monomials_upto(n, k); the residual and the Jacobian (their term-list
+    derivatives) are one eval_terms call each, in the dtype of theta.
+    `degrees[o]` is equation o's total degree in theta, but at least 1.
     """
 
     def __init__(self, template: FoldTemplate):
         self.template = template
-        self.basis = monomials_upto(template.n, template.k)
-        index = {e: i for i, e in enumerate(self.basis)}
-        self.const_vec = np.zeros(len(self.basis))
-        self.const_vec[index[(0,) * template.n]] = 1.0
-        P = template.n_params
-        self.parts = []
-        self.degrees = np.zeros(len(self.basis), dtype=int)
+        n, P = template.n, template.n_params
+
+        def lift(p: MultiPoly, j: int | None = None) -> MultiPoly:
+            """p(x), times theta_j when j is given, in the n + P variables."""
+            tail = tuple(int(i == j) for i in range(P))
+            return MultiPoly(n + P, {e + tail: c for e, c in p.terms.items()})
+
+        R = MultiPoly.constant(n + P, 1)
         for li, qi, mi in zip(template.l, template.q, template.m):
-            qs = sorted({e for e in qi.fixed.terms}
-                        | {e for _, p in qi.terms for e in p.terms},
-                        key=gradedlex_key) or [(0,) * template.n]
-            ms = sorted({e for e in mi.fixed.terms}
-                        | {e for _, p in mi.terms for e in p.terms},
-                        key=gradedlex_key) or [(0,) * template.n]
-            Q0 = np.array([float(qi.fixed.terms.get(e, 0)) for e in qs])
-            M0 = np.array([float(mi.fixed.terms.get(e, 0)) for e in ms])
-            QM = np.zeros((len(qs), P))
-            for j, p in qi.terms:
-                for e, c in p.terms.items():
-                    QM[qs.index(e), j] += float(c)
-            MM = np.zeros((len(ms), P))
-            for j, p in mi.terms:
-                for e, c in p.terms.items():
-                    MM[ms.index(e), j] += float(c)
-            T = np.zeros((len(self.basis), len(qs), len(qs), len(ms)))
-            for lexp, lc in li.terms.items():
-                for a, ea in enumerate(qs):
-                    for b, eb in enumerate(qs):
-                        for c, ec in enumerate(ms):
-                            out = tuple(w + x + y + z for w, x, y, z
-                                        in zip(lexp, ea, eb, ec))
-                            T[index[out], a, b, c] += float(lc)
-            self.parts.append((T, Q0, QM, M0, MM))
-            qdep, mdep = QM.any(axis=1), MM.any(axis=1)
-            dep = (qdep[:, None, None].astype(int) + qdep[None, :, None]
-                   + mdep[None, None, :])
-            for o in range(len(self.basis)):
-                nz = T[o] != 0
-                if nz.any():
-                    self.degrees[o] = max(self.degrees[o], dep[nz].max())
+            q, m = (sum((lift(p, j) for j, p in pp.terms), lift(pp.fixed))
+                    for pp in (qi, mi))
+            R = R - lift(li) * q * q * m
+        index = {e: o for o, e in enumerate(monomials_upto(n, template.k))}
+        eqs = [{} for _ in index]
+        for e, c in R.terms.items():
+            eqs[index[e[:n]]][e[n:]] = c
+        polys = [MultiPoly(P, terms) for terms in eqs]
+        plans = [p._plan() for p in polys]
+        self.maxdeg = [max(md[j] for md, _ in plans) for j in range(P)]
+        self.terms = tuple(plan for _, plan in plans)
+        self.partials = tuple(derivative_terms(terms, j)
+                              for terms in self.terms for j in range(P))
+        self.degrees = np.array([max(p.degree(), 1) for p in polys])
 
     def residual_vec(self, theta) -> np.ndarray:
         return self.residual_batch(np.asarray(theta, dtype=float)[None, :])[0]
 
     def residual_batch(self, theta: np.ndarray) -> np.ndarray:
-        v = np.broadcast_to(self.const_vec, (theta.shape[0], len(self.basis))
-                            ).astype(np.result_type(theta, float))
-        for T, Q0, QM, M0, MM in self.parts:
-            qv = Q0 + theta @ QM.T
-            mv = M0 + theta @ MM.T
-            v -= np.einsum("oabc,sa,sb,sc->so", T, qv, qv, mv)
-        return v
+        return np.stack(eval_terms(theta, self.maxdeg, self.terms), axis=1)
 
     def jacobian_batch(self, theta: np.ndarray) -> np.ndarray:
-        P = self.template.n_params
-        J = np.zeros((theta.shape[0], len(self.basis), P),
-                     dtype=np.result_type(theta, float))
-        for T, Q0, QM, M0, MM in self.parts:
-            qv = Q0 + theta @ QM.T
-            mv = M0 + theta @ MM.T
-            J -= 2.0 * np.einsum("oabc,aj,sb,sc->soj", T, QM, qv, mv)
-            J -= np.einsum("oabc,sa,sb,cj->soj", T, qv, qv, MM)
-        return J
+        cols = eval_terms(theta, self.maxdeg, self.partials)
+        return np.stack(cols, axis=1).reshape(
+            len(theta), len(self.terms), self.template.n_params)
 
 
 # A nonsingular endpoint has max |F| <= RESIDUAL_TOL and sigma_min/sigma_max

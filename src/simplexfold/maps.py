@@ -17,7 +17,8 @@ import functools
 import numpy as np
 
 from . import positivity, simplex
-from .polynomial import EXACT, FLOAT, MultiPoly, eval_terms, gradedlex_key
+from .polynomial import (EXACT, FLOAT, MultiPoly, derivative_terms,
+                         eval_terms, gradedlex_key)
 
 APPLY_TOL = 1e-9
 
@@ -203,20 +204,20 @@ class MapCoefficients:
     def jacobians(self, X: np.ndarray) -> np.ndarray:
         """Jacobian matrices at the rows of X, shape (rows, n, n).
 
-        Entry (i, j) sums the terms of component i differentiated in x_j: a
-        term c x^a with a_j > 0 becomes a_j c x^(a - e_j).  That map keeps
-        graded-lex order, so a one-map table gives the float partials'
-        eval_many values bit for bit.  The n^2 derivative term lists are
-        built on the first call and kept; all of them go through one
-        eval_terms call.
+        Entry (i, j) sums the terms of component i differentiated in x_j
+        (polynomial.derivative_terms), which keeps graded-lex order, so a
+        one-map table gives the float partials' eval_many values bit for
+        bit.  The n^2 derivative term lists are built on the first call and
+        kept; all of them go through one eval_terms call.
         """
         if X.shape[1] != self.n:
             raise ValueError("point dimension mismatch")
         try:
             partials = self._partials
         except AttributeError:
-            partials = self._partials = tuple(
-                _derivative(terms, j) for terms in self.terms for j in range(self.n))
+            partials = self._partials = tuple(derivative_terms(terms, j)
+                                              for terms in self.terms
+                                              for j in range(self.n))
         cols = eval_terms(X, self.maxdeg, partials)
         return np.stack(cols, axis=1).reshape(X.shape[0], self.n, self.n)
 
@@ -243,17 +244,6 @@ class MapCoefficients:
             fix[over] /= s[over, None]
             out[clamped] = fix
         return out, bad, clamped
-
-
-def _derivative(terms, j: int):
-    """The terms (c, ((v, e), ...)) differentiated in variable j."""
-    out = []
-    for c, factors in terms:
-        e = dict(factors).get(j, 0)
-        if e:
-            out.append((c * e, tuple((v, a - 1 if v == j else a)
-                                     for v, a in factors if (v, a) != (j, 1))))
-    return tuple(out)
 
 
 class MembershipReport:

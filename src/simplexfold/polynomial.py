@@ -322,15 +322,16 @@ class MultiPoly:
 
 
 def eval_terms(X: np.ndarray, maxdeg, outputs) -> list[np.ndarray]:
-    """Sums of terms c * prod(x_v**e) at the rows of X, one array per output.
+    """Sums of terms c * prod(x_v**e) at the rows of X, one array per output:
+    the package's one polynomial evaluator, for maps and fold equations.
 
     maxdeg[v] bounds the exponent of variable v; each output is a sequence
     of terms (c, ((v, e), ...)) listing nonzero exponents, with c a float or
     an array holding one coefficient per row.  Powers come from repeated
     multiplication, each term is c * x_v**e times its other factors in
-    place, and terms add into zeros in the order given.  These are
-    elementwise operations only, so a row's value never depends on the
-    other rows.
+    place, and terms add into zeros of X's dtype, float or complex, in the
+    order given.  These are elementwise operations only, so a row's value
+    never depends on the other rows.
     """
     powers = []
     for v, d in enumerate(maxdeg):
@@ -342,7 +343,7 @@ def eval_terms(X: np.ndarray, maxdeg, outputs) -> list[np.ndarray]:
         powers.append(col)
     results = []
     for terms in outputs:
-        out = np.zeros(X.shape[0])
+        out = np.zeros(X.shape[0], dtype=X.dtype)
         for c, factors in terms:
             if not factors:
                 out += c
@@ -354,6 +355,18 @@ def eval_terms(X: np.ndarray, maxdeg, outputs) -> list[np.ndarray]:
             out += term
         results.append(out)
     return results
+
+
+def derivative_terms(terms, j: int):
+    """eval_terms terms differentiated in variable j: a term c x^a with
+    a_j > 0 becomes a_j c x^(a - e_j).  That map keeps graded-lex order."""
+    out = []
+    for c, factors in terms:
+        e = dict(factors).get(j, 0)
+        if e:
+            out.append((c * e, tuple((v, a - 1 if v == j else a)
+                                     for v, a in factors if (v, a) != (j, 1))))
+    return tuple(out)
 
 
 def monomials_upto(num_vars: int, k: int) -> list[Exponent]:

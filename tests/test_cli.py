@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +104,25 @@ class TestSolveFold:
                     "--out", str(out), "--seed", "0"]) != 0
         assert "55 equations in 63 unknowns" in capsys.readouterr().err
         assert not out.exists()
+
+
+    # sha256 of the solve-fold JSON: the solver's floats are rounded to
+    # rationals and re-verified exactly, so a change to the numerics must
+    # leave these bytes alone
+    @pytest.mark.parametrize("name, digest", [
+        ("interval:1", "c102ab22a94279ff1f4441f91d0b6dbb3e7210539b81d38d3e9b70e646cb1419"),
+        ("interval:2", "e44f3ea399f6a9ecd4fa821bbad378042479bf90f284bbf259f21ddab26186ce"),
+        ("interval:3", "3f090c9bf711df5ab8e3062632b6641d32d1d1f41493c10baf427a21e893faa5"),
+        ("interval:4", "4ce74455529320fdcc5168c720d92e98d7216df1d78c932a6d74d2c6b0b21253"),
+        ("interval:5", "f731b46c033b85ed90d87e11b65ec4d7eb5e667367102a43044446a654059f15"),
+        ("interval:6", "978d9e20d1059b31d7c55a3126b045516dc83898725e10927713b82e9533cb7b"),
+        ("twofold2d", "e2265713ce7e614b83690876b0fd4fe987c1fe028f89e9a11face7cc58b8d84b"),
+    ])
+    def test_builtin_output_bytes_pinned(self, name, digest, tmp_path):
+        out = tmp_path / "sol.json"
+        assert run(["solve-fold", "--builtin", name, "--out", str(out),
+                    "--seed", "0"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestVerifyFold:
@@ -250,8 +270,45 @@ class TestPreimageCount:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["fig6", "--eps", "0"], "eps 0.0 outside (0, inf)"),
+        (["fig6", "--eps", "-0.05"], "eps -0.05 outside (0, inf)"),
+        (["fig6", "--trials", "0"], "integer 0 outside [1, inf)"),
+        (["deform-sample", "--map", "m.json", "--cone", "c.json", "--out", "d",
+          "--eps", "0"], "eps 0.0 outside (0, inf)"),
+        (["fig7", "--region", "0.6"], "region 0.6 outside (0, 1/2]"),
+        (["fig7", "--region", "0"], "region 0.0 outside (0, 1/2]"),
+        (["measure-test", "--d", "2,0"], "integer 0 outside [1, inf)"),
+        (["measure-test", "--d", "2.5"], "invalid _orders value: '2.5'"),
+        (["measure-test", "--samples", "0"], "integer 0 outside [1, inf)"),
+    ])
+    def test_argument_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            run([*argv, "--seed", "0"])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["deform-sample", "--map", "missing.json", "--cone", "missing.json",
+          "--out", "out/defs"], "No such file or directory: 'missing.json'"),
+        (["solve-fold", "--template", "missing.json", "--out", "out/sol.json"],
+         "No such file or directory: 'missing.json'"),
+        (["cone-build", "--n", "2", "--k", "2", "--N", "-1", "--out", "out/cone.json"],
+         "N must be non-negative"),
+    ])
+    def test_bad_input_writes_nothing(self, argv, message, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--seed", "0"]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and message in stderr and stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_hashes_outputs(tmp_path):
-    import hashlib
     out = tmp_path / "t"
     run(["tables", "--out-dir", str(out), "--seed", "0"])
     manifest = json.loads((out / "manifest.json").read_text())

@@ -9,7 +9,7 @@ from simplexfold import folding, maps, positivity, simplex
 from simplexfold.folding import (FoldSolveError, ParamPoly, catalog,
                                  catalog_factors, fold_order, preimage_count,
                                  residual, solve_fold, verify_factorization)
-from simplexfold.polynomial import MultiPoly
+from simplexfold.polynomial import MultiPoly, gradedlex_key, monomials_upto
 
 
 class TestCatalog:
@@ -221,8 +221,84 @@ class TestSolveFold:
         assert capsys.readouterr() == ("", "")
 
 
+class TensorReference:
+    """A template's residual, Jacobian and equation degrees from a dense
+    tensor: each factor's coefficient vector is affine in theta
+    (q = Q0 + QM theta), and the coefficient vector of l q^2 m is trilinear
+    in those vectors, T[out, a, b, c].  The equation degree is the largest
+    number of theta-dependent factors over the nonzero entries T[o, a, b, c]."""
+
+    def __init__(self, template):
+        basis = monomials_upto(template.n, template.k)
+        index = {e: i for i, e in enumerate(basis)}
+        self.const_vec = np.zeros(len(basis))
+        self.const_vec[index[(0,) * template.n]] = 1.0
+        P = template.n_params
+        self.parts = []
+        self.degrees = np.zeros(len(basis), dtype=int)
+        for li, qi, mi in zip(template.l, template.q, template.m):
+            Q0, QM, qs = self._affine(qi, P)
+            M0, MM, ms = self._affine(mi, P)
+            T = np.zeros((len(basis), len(qs), len(qs), len(ms)))
+            for lexp, lc in li.terms.items():
+                for a, ea in enumerate(qs):
+                    for b, eb in enumerate(qs):
+                        for c, ec in enumerate(ms):
+                            out = tuple(map(sum, zip(lexp, ea, eb, ec)))
+                            T[index[out], a, b, c] += float(lc)
+            self.parts.append((T, Q0, QM, M0, MM))
+            qdep, mdep = QM.any(axis=1), MM.any(axis=1)
+            dep = (qdep[:, None, None].astype(int) + qdep[None, :, None]
+                   + mdep[None, None, :])
+            for o in range(len(basis)):
+                nz = T[o] != 0
+                if nz.any():
+                    self.degrees[o] = max(self.degrees[o], dep[nz].max())
+
+    @staticmethod
+    def _affine(pp, P):
+        exps = sorted({e for e in pp.fixed.terms}
+                      | {e for _, p in pp.terms for e in p.terms},
+                      key=gradedlex_key) or [(0,) * pp.fixed.num_vars]
+        V0 = np.array([float(pp.fixed.terms.get(e, 0)) for e in exps])
+        VM = np.zeros((len(exps), P))
+        for j, p in pp.terms:
+            for e, c in p.terms.items():
+                VM[exps.index(e), j] += float(c)
+        return V0, VM, exps
+
+    def residual_batch(self, theta):
+        v = np.broadcast_to(self.const_vec, (len(theta), len(self.const_vec))
+                            ).astype(np.result_type(theta, float))
+        for T, Q0, QM, M0, MM in self.parts:
+            qv, mv = Q0 + theta @ QM.T, M0 + theta @ MM.T
+            v -= np.einsum("oabc,sa,sb,sc->so", T, qv, qv, mv)
+        return v
+
+    def jacobian_batch(self, theta):
+        J = 0
+        for T, Q0, QM, M0, MM in self.parts:
+            qv, mv = Q0 + theta @ QM.T, M0 + theta @ MM.T
+            J = (J - 2.0 * np.einsum("oabc,aj,sb,sc->soj", T, QM, qv, mv)
+                 - np.einsum("oabc,sa,sb,cj->soj", T, qv, qv, MM))
+        return J
+
+
 class TestHomotopy:
-    def test_degrees_from_tensor(self):
+    @pytest.mark.parametrize("name", sorted(folding.BUILTIN_TEMPLATES))
+    def test_tables_match_tensor_reference(self, name):
+        tpl = folding.BUILTIN_TEMPLATES[name]()
+        ft, ref = folding._CompiledTemplate(tpl), TensorReference(tpl)
+        assert ft.degrees.tolist() == ref.degrees.tolist()
+        rng = np.random.default_rng(7)
+        real = rng.normal(size=(16, tpl.n_params))
+        for theta in (real, real + 1j * rng.normal(size=real.shape)):
+            for got, want in ((ft.residual_batch(theta), ref.residual_batch(theta)),
+                              (ft.jacobian_batch(theta), ref.jacobian_batch(theta))):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_degrees(self):
         ft = folding._CompiledTemplate(folding.two_simplex_twofold_template())
         assert ft.degrees.tolist() == [1, 1, 1, 1, 2, 3]
         for d in range(1, 7):
