@@ -64,6 +64,7 @@ def _number(name: str, cast, low, high, interval: str):
 _seed = _number("seed", int, -1, 2 ** 64 - 1, "[0, 2^64)")
 _eps = _number("eps", float, 0, sys.float_info.max, "(0, inf)")
 _positive_int = _number("integer", int, 0, float("inf"), "[1, inf)")
+_natural = _number("integer", int, -1, float("inf"), "[0, inf)")
 # fig7 starts in the corner square (0, region)^2, inside the triangle
 _region = _number("region", float, 0, 0.5, "(0, 1/2]")
 
@@ -178,11 +179,7 @@ def cmd_tables(args) -> int:
 def cmd_cone_build(args) -> int:
     out = Path(args.out)
     seed = _resolve_seed(args)
-    try:
-        rep = cone.build_inequalities(args.n, args.k, args.N)
-    except ValueError as exc:
-        print(f"cone-build: {exc}", file=sys.stderr)
-        return 1
+    rep = cone.build_inequalities(args.n, args.k, args.N)
     out.parent.mkdir(parents=True, exist_ok=True)
     cone.enumerate_rays(rep)
     if not args.no_scale:
@@ -199,18 +196,10 @@ def cmd_cone_build(args) -> int:
 
 def cmd_solve_fold(args) -> int:
     seed = _resolve_seed(args)
-    try:
-        template = (folding.BUILTIN_TEMPLATES[args.builtin]() if args.builtin
-                    else folding.FoldTemplate.from_json(
-                        json.loads(Path(args.template).read_text())))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"solve-fold: {exc}", file=sys.stderr)
-        return 1
-    try:
-        solutions = folding.solve_fold(template)
-    except folding.FoldSolveError as exc:
-        print(f"solve-fold[{template.name}]: {exc}", file=sys.stderr)
-        return 1
+    template = (folding.BUILTIN_TEMPLATES[args.builtin]() if args.builtin
+                else folding.FoldTemplate.from_json(
+                    json.loads(Path(args.template).read_text())))
+    solutions = folding.solve_fold(template)
     payload = []
     for s in solutions:
         payload.append({
@@ -260,8 +249,7 @@ def cmd_fig6(args) -> int:
                    else "has no scaled generators" if rep.scaled_vectors is None
                    else None)
         if problem:
-            print(f"fig6: cone {args.cone} {problem}", file=sys.stderr)
-            return 1
+            raise ValueError(f"cone {args.cone} {problem}")
     else:
         rep = cone.build_inequalities(2, 2, args.N)
         cone.enumerate_rays(rep)
@@ -304,14 +292,10 @@ def cmd_fig6(args) -> int:
 def cmd_deform_sample(args) -> int:
     out_dir = Path(args.out)
     seed = _resolve_seed(args)
-    try:
-        with open(args.map) as fh:
-            f_star = SimplexMap.from_json(json.load(fh))
-        rep = cone.load_json(args.cone)
-        cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"deform-sample: {exc}", file=sys.stderr)
-        return 1
+    with open(args.map) as fh:
+        f_star = SimplexMap.from_json(json.load(fh))
+    rep = cone.load_json(args.cone)
+    cfg = sampler.SamplerConfig(cone=rep, epsilon=args.eps, master_seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for i in range(args.count):
@@ -385,12 +369,8 @@ def cmd_preimage_count(args) -> int:
     else:
         with open(args.map) as fh:
             f = SimplexMap.from_json(json.load(fh))
-    try:
-        y = [float(v) for v in args.target.split(",")]
-        count, pts = folding.preimage_count(f, y, seed=seed)
-    except ValueError as exc:
-        print(f"preimage-count: {exc}", file=sys.stderr)
-        return 1
+    y = [float(v) for v in args.target.split(",")]
+    count, pts = folding.preimage_count(f, y, seed=seed)
     print(f"{count} preimage(s) of {y} under {f.label or 'map'}")
     for p in pts:
         print("  " + " ".join(_fmt(float(v)) for v in p))
@@ -444,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig6", help="deformation scan of the triangle two-fold")
     p.add_argument("--eps", type=_eps, default=0.05)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_natural, default=1000)
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--cone", help="cone JSON to load or save")
     p.add_argument("--out-dir", default="fig6_out")
     p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--window", type=int, default=10_000)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--window", type=_positive_int, default=10_000)
+    p.add_argument("--burn-in", type=_natural, default=1000)
     p.add_argument("--jobs", type=int,
                    help="accepted and recorded in the manifest, but has no effect: "
                         "the scan runs as one lockstep batch in one process")
@@ -461,16 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="reference map JSON")
     p.add_argument("--cone", required=True, help="scaled cone JSON")
     p.add_argument("--eps", type=_eps, default=0.05)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_natural, default=1000)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_deform_sample)
 
     p = sub.add_parser("fig7", help="fixation times of the nine-fold")
-    p.add_argument("--count", type=int, default=10_000)
+    p.add_argument("--count", type=_positive_int, default=10_000)
     p.add_argument("--region", type=_region, default=0.01)
     p.add_argument("--absorb-tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=100_000)
+    p.add_argument("--max-iters", type=_natural, default=100_000)
     p.add_argument("--out-dir", default="fig7_out")
     p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_fig7)
@@ -495,8 +475,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad input file, name or value exits 1 with one
+    stderr line, and a bad flag exits 2 through argparse."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, KeyError, TypeError, folding.FoldSolveError) as exc:
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"{args.command}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -109,6 +109,10 @@ def build_inequalities(n: int, k: int, N: int) -> ConeRep:
     of the degree-(N+k) monomial beta.  The grid's C order over
     |b| <= N+k is the lexicographic order of `monomials_exact`.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if N < 0:
         raise ValueError("N must be non-negative")
     basis = monomials_upto(n, k)

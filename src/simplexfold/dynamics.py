@@ -369,7 +369,8 @@ def deform_scan(f_star: SimplexMap, samples, trials_per_map: int = 20, *,
         except Exception as exc:  # row-level containment per the scan contract
             rows[index] = _failed_row(index, f"{type(exc).__name__}: {exc}")
             continue
-        rng = np.random.Generator(np.random.Philox(key=[master_seed, index]))
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([master_seed, index], dtype=np.uint64)))
         starts.append(simplex.sample_uniform(g.n, trials_per_map, rng))
         scanned.append((index, g, dist, report))
 

@@ -231,10 +231,12 @@ class MapCoefficients:
         its sum exceeds 1; those rows are flagged in clamped.
         """
         out = self.values(X)
-        # minimum over the columns pairwise: exact in any order, NaN
-        # included, and much cheaper than a reduction along a short axis 1
+        # minimum and sum over the columns pairwise, much cheaper than a
+        # reduction along a short axis 1; the minimum is exact in any order,
+        # NaN included, and the sum is out.sum(axis=1) up to the sign of a
+        # zero sum, which the comparisons below do not see
         low = functools.reduce(np.minimum, out.T)
-        sums = out.sum(axis=1)
+        sums = functools.reduce(np.add, out.T)
         bad = (low < -tol) | (sums > 1 + tol)
         clamped = ((low < 0) | (sums > 1)) & ~bad
         if clamped.any():

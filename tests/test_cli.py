@@ -282,6 +282,13 @@ class TestBadArguments:
         (["measure-test", "--d", "2,0"], "integer 0 outside [1, inf)"),
         (["measure-test", "--d", "2.5"], "invalid _orders value: '2.5'"),
         (["measure-test", "--samples", "0"], "integer 0 outside [1, inf)"),
+        (["fig6", "--window", "0"], "integer 0 outside [1, inf)"),
+        (["fig6", "--burn-in", "-1"], "integer -1 outside [0, inf)"),
+        (["fig6", "--count", "-3"], "integer -3 outside [0, inf)"),
+        (["deform-sample", "--map", "m.json", "--cone", "c.json", "--out", "d",
+          "--count", "-1"], "integer -1 outside [0, inf)"),
+        (["fig7", "--count", "0"], "integer 0 outside [1, inf)"),
+        (["fig7", "--max-iters", "-1"], "integer -1 outside [0, inf)"),
     ])
     def test_argument_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -298,6 +305,21 @@ class TestBadArguments:
          "No such file or directory: 'missing.json'"),
         (["cone-build", "--n", "2", "--k", "2", "--N", "-1", "--out", "out/cone.json"],
          "N must be non-negative"),
+        (["verify-fold", "--map", "missing.json", "--out", "out/v.json"],
+         "No such file or directory: 'missing.json'"),
+        (["verify-fold", "--catalog", "tri:f7", "--out", "out/v.json"],
+         "verify-fold: unknown catalog entry 'tri:f7'"),
+        (["preimage-count", "--map", "missing.json", "--target", "0.3,0.3",
+          "--out", "out/p.json"], "No such file or directory: 'missing.json'"),
+        (["preimage-count", "--catalog", "tri:f7", "--target", "0.3,0.3",
+          "--out", "out/p.json"], "preimage-count: unknown catalog entry 'tri:f7'"),
+        (["fig6", "--N", "-1", "--out-dir", "out"], "fig6: N must be non-negative"),
+        (["fig6", "--N", "1", "--cone", "nodir/c.json", "--out-dir", "out"],
+         "No such file or directory: 'nodir/c.json'"),
+        (["cone-build", "--n", "0", "--k", "2", "--N", "1", "--out", "out/cone.json"],
+         "cone-build: n must be at least 1"),
+        (["cone-build", "--n", "2", "--k", "-1", "--N", "1", "--out", "out/cone.json"],
+         "cone-build: k must be non-negative"),
     ])
     def test_bad_input_writes_nothing(self, argv, message, tmp_path, monkeypatch,
                                       capsys):

@@ -92,6 +92,15 @@ class TestBuildInequalities:
         for row, beta in zip(rep.ineq, rep.row_monomials):
             assert sum(a * b for a, b in zip(row, c)) == expansion.coefficient(beta)
 
+    @pytest.mark.parametrize("n, k, N, message", [
+        (0, 2, 1, "n must be at least 1"),
+        (2, -1, 1, "k must be non-negative"),
+        (2, 2, -1, "N must be non-negative"),
+    ])
+    def test_out_of_range_rejected(self, n, k, N, message):
+        with pytest.raises(ValueError, match=message):
+            build_inequalities(n, k, N)
+
 
 class TestInitialSimplicial:
     @staticmethod

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,29 @@ class TestDeformScan:
         bad = SimplexMap(2, 2, [2.5 * x, MultiPoly.zero(2, FLOAT)])
         rows = dynamics.deform_scan(f2, [bad], trials_per_map=3)
         assert rows[0].verdict == "failed" and rows[0].error
+
+    def test_orbit_starts_keyed_on_all_64_bits(self, monkeypatch):
+        # fig6 accepts every seed in [0, 2^64): each must key its own starts
+        # without a warning, and below 2^63 the starts are those of a key list
+        starts = []
+        classify = dynamics.classify_orbits
+
+        def record(fs, X, **kw):
+            starts.append(X.copy())
+            return classify(fs, X, **kw)
+
+        monkeypatch.setattr(dynamics, "classify_orbits", record)
+        f2 = folding.catalog("tri:f2")
+        seeds = (0, 11, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in seeds:
+                dynamics.deform_scan(f2, [f2.to_float()], 3, window=1, burn_in=0,
+                                     master_seed=seed)
+        for seed, X in zip(seeds[:3], starts):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+            assert np.array_equal(X, simplex.sample_uniform(2, 3, rng))
+        assert len({X.tobytes() for X in starts}) == len(seeds)
 
 
 SCAN_KW = {"window": 300, "burn_in": 30, "master_seed": 3}

@@ -244,6 +244,45 @@ class TestJacobians:
             folding.catalog("tri:f2").coefficients().jacobians(np.zeros((3, 1)))
 
 
+def apply_reference(table, X, tol=maps.APPLY_TOL):
+    """MapCoefficients.apply with row minima and sums along axis 1."""
+    out = table.values(X)
+    low, sums = out.min(axis=1), out.sum(axis=1)
+    bad = (low < -tol) | (sums > 1 + tol)
+    clamped = ((low < 0) | (sums > 1)) & ~bad
+    fix = np.maximum(out[clamped], 0.0)
+    s = fix.sum(axis=1)
+    fix[s > 1] /= s[s > 1, None]
+    out[clamped] = fix
+    return out, bad, clamped
+
+
+class TestApplyTable:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_many_map_table_matches_row_sums(self, n):
+        # x + c + (small degree-2 noise) on points of the simplex and its
+        # faces: offsets below the tolerance clamp, larger ones are bad
+        rng = np.random.default_rng(40 + n)
+        fs = []
+        for scale in (1e-12, 1e-10, 3e-10, 1e-8, 1e-3):
+            for _ in range(3):
+                noise = random_float_map(n, 2, rng)
+                P = [MultiPoly.variable(n, i, FLOAT)
+                     + MultiPoly.constant(n, float(scale * rng.normal()), FLOAT)
+                     + scale * 1e-2 * noise.P[i] for i in range(n)]
+                fs.append(SimplexMap(n, 2, P))
+        X = simplex_points(n, 600, seed=n)
+        X[::3, 0] = 0.0
+        X[1::3] /= X[1::3].sum(axis=1, keepdims=True)
+        rows = rng.integers(len(fs), size=len(X))
+        table = maps.MapCoefficients(fs, rows)
+        images, bad, clamped = table.apply(X)
+        ref_images, ref_bad, ref_clamped = apply_reference(table, X)
+        assert bad.any() and clamped.any() and not (bad | clamped).all()
+        assert np.array_equal(bad, ref_bad) and np.array_equal(clamped, ref_clamped)
+        assert same_bits(images, ref_images)
+
+
 def test_compose_maps_degree():
     f2 = folding.catalog("tri:f2")
     f4 = maps.compose_maps(f2, f2)
