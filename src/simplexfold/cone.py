@@ -18,12 +18,14 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import comb
 
 import numpy as np
 
 from . import exact, simplex
-from .polynomial import EXACT, FLOAT, MultiPoly, monomials_exact, monomials_upto
+from .polynomial import (EXACT, FLOAT, MultiPoly, monomials_exact, monomials_upto,
+                         require_fields)
 
 Vec = tuple[int, ...]
 
@@ -31,8 +33,8 @@ log = logging.getLogger(__name__)
 
 # int64 arithmetic is exact while every entry stays below this bound.
 _INT64_LIMIT = 2 ** 63
-# Entries per block of the zero-set products in the adjacency test.
-_BLOCK = 1 << 18
+# Pair or (candidate, ray) tests per block in the adjacency test.
+_BLOCK = 1 << 17
 
 
 class ConeNotPointedError(ValueError):
@@ -87,6 +89,7 @@ class ConeRep:
                 out.append(int(f))
             return tuple(out)
 
+        require_fields(data, "cone", "n", "k", "N", "basis", "row_monomials", "ineq")
         cone = cls(int(data["n"]), int(data["k"]), int(data["N"]),
                    [tuple(b) for b in data["basis"]],
                    [tuple(b) for b in data["row_monomials"]],
@@ -175,8 +178,10 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
     against every inequality the matrix S = R @ A.T.  A positive/negative
     pair is adjacent when the common zero set t over the processed rows has
     |t| >= dim-2 and exactly two current rays (the pair itself) vanish on
-    all of t.  Both tests are products of 0/1 zero-set matrices, taken in
-    blocks so that peak memory does not grow with the ray count.
+    all of t.  Both tests are exact integer bit operations on zero sets
+    packed into 64-bit words (`_adjacent_pairs`): popcounts for |t|, and
+    for the cover test only the rays that vanish on t's rarest row, taken
+    in blocks so that peak memory does not grow with the ray count.
 
     Arithmetic is int64 while a bound on every entry, checked with Python
     ints before each combination step and each slack product, stays below
@@ -196,6 +201,7 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
     done = np.zeros(len(A), dtype=bool)
     done[idx] = True
     peak = len(R)
+    pairs = candidates = adjacent = 0
 
     while not done.all():
         remaining = np.flatnonzero(~done)
@@ -205,8 +211,10 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
         if len(minus):
             plus = np.flatnonzero(s > 0)
             zero = np.flatnonzero(s == 0)
-            p, m = _adjacent_pairs((S[:, done] == 0).astype(np.float32),
-                                   plus, minus, D)
+            p, m, n_cand = _adjacent_pairs(S[:, done] == 0, plus, minus, D)
+            pairs += len(plus) * len(minus)
+            candidates += n_cand
+            adjacent += len(p)
             A, R, S, s = _widen(2 * _absmax(s) * _absmax(R), A, R, S, s)
             W = _primitive_rows(s[p, None] * R[m] - s[m, None] * R[p])
             A, R, S, W = _widen(D * _absmax(A) * _absmax(W), A, R, S, W)
@@ -222,10 +230,13 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
 
     cone.rays = sorted(tuple(r) for r in R.tolist())
     log.debug("enumerate_rays(%d,%d,%d): %d rows processed, peak %d rays, "
-              "dtype %s, widened after %s rows",
+              "dtype %s, widened after %s rows; %d plus/minus pairs, "
+              "%d candidates, %d adjacent",
               cone.n, cone.k, cone.N, len(A), peak, R.dtype, widened_at,
+              pairs, candidates, adjacent,
               extra={"rows": len(A), "peak_rays": peak, "dtype": str(R.dtype),
-                     "widened_at": widened_at})
+                     "widened_at": widened_at, "pairs": pairs,
+                     "candidates": candidates, "adjacent": adjacent})
     return cone
 
 
@@ -243,30 +254,63 @@ def _widen(bound: int, *arrays: np.ndarray):
 
 
 def _adjacent_pairs(Z: np.ndarray, plus: np.ndarray, minus: np.ndarray, D: int):
-    """Indices (p, m) of the adjacent plus/minus pairs, plus-major order.
+    """Adjacent plus/minus pairs (p, m), plus-major, and the candidate count.
 
-    Z is the 0/1 zero-set matrix (rays x processed rows) in float32; its
-    products count common zeros exactly while there are fewer than 2**24
-    rows.
+    Z is the boolean zero-set matrix (rays x processed rows).  A pair is a
+    candidate when its common zero set t has |t| >= D-2, and adjacent when
+    exactly two rays (the pair itself) vanish on all of t.  Zero sets are
+    packed into little-endian uint64 words with the rows ordered rarest
+    first, so the lowest set bit of t is its rarest row: only the rays that
+    vanish on that row can contain t, and only they are tested.  An empty t
+    lies in every ray.  All counts are exact integer popcounts.
     """
-    Zm = Z[minus]
-    ZT = Z.T
+    rays, rows = Z.shape
+    words = -(-rows // 64)
+    Zs = np.zeros((rays, 64 * words), dtype=bool)
+    Zs[:, :rows] = Z[:, np.argsort(Z.sum(axis=0), kind="stable")]
+    bits = np.packbits(Zs, bitorder="little").view("<u8").reshape(rays, words)
+
+    # Prefilter: |t| is the popcount of the pair's common zero words,
+    # summed in a dtype that holds the row count.
+    Bm = bits[minus]
     step = max(1, _BLOCK // len(minus))
-    cstep = max(1, _BLOCK // len(Z))
     empty = np.zeros(0, dtype=np.intp)
     ps, ms = [empty], [empty]
     for lo in range(0, len(plus), step):
         blk = plus[lo:lo + step]
-        common = Z[blk] @ Zm.T
-        bi, mj = np.nonzero(common >= D - 2)
-        size = common[bi, mj]
-        for c in range(0, len(bi), cstep):
-            b, j = bi[c:c + cstep], mj[c:c + cstep]
-            covers = (Z[blk[b]] * Zm[j]) @ ZT == size[c:c + cstep, None]
-            ok = covers.sum(axis=1) == 2
-            ps.append(blk[b[ok]])
-            ms.append(minus[j[ok]])
-    return np.concatenate(ps), np.concatenate(ms)
+        size = np.zeros((len(blk), len(minus)), dtype=np.min_scalar_type(rows))
+        for w in range(words):
+            size += np.bitwise_count(bits[blk, w, None] & Bm[None, :, w])
+        bi, mj = np.divmod(np.flatnonzero(size >= D - 2), len(minus))
+        ps.append(blk[bi])
+        ms.append(minus[mj])
+    p, m = np.concatenate(ps), np.concatenate(ms)
+    t = bits[p] & bits[m]
+
+    # Cover test: the candidates, grouped by rarest row, against the rays
+    # that vanish on it, about _BLOCK (candidate, ray) tests at a time.
+    # The rarest row is the lowest set bit, which low & -low isolates.
+    first = (t != 0).argmax(axis=1)
+    low = t[np.arange(len(t)), first]
+    rare = 64 * first + np.bitwise_count((low & -low) - 1)
+    keep = np.full(len(t), rays == 2)     # an empty t: every ray contains it
+    cand = np.flatnonzero(low)
+    cand = cand[np.argsort(rare[cand], kind="stable")]
+    tc, rc = t[cand], rare[cand]
+    ok = np.zeros(len(cand), dtype=bool)
+    count = np.min_scalar_type(rays)      # holds any ray count without wrapping
+    _, starts = np.unique(rc, return_index=True)
+    for lo, end in pairwise([*starts.tolist(), len(rc)]):
+        out = ~bits[Zs[:, rc[lo]]]        # rows where each such ray is nonzero
+        step = max(1, _BLOCK // len(out))
+        for a in range(lo, end, step):
+            T = tc[a:min(a + step, end)]
+            miss = T[:, None, 0] & out[None, :, 0]
+            for w in range(1, words):
+                miss |= T[:, None, w] & out[None, :, w]
+            ok[a:a + len(T)] = (miss == 0).sum(axis=1, dtype=count) == 2
+    keep[cand] = ok
+    return p[keep], m[keep], len(t)
 
 
 def ray_is_extreme(cone: ConeRep, ray) -> bool:

@@ -29,7 +29,7 @@ import numpy as np
 from . import _newton, maps, positivity, sampler
 from .polynomial import (EXACT, FLOAT, MultiPoly, derivative_terms,
                          divide_by_linear, eval_terms, gradedlex_key,
-                         linear_form, monomials_upto)
+                         linear_form, monomials_upto, require_fields)
 
 log = logging.getLogger(__name__)
 
@@ -232,6 +232,7 @@ class ParamPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParamPoly":
+        require_fields(data, "template polynomial", "fixed")
         return cls(MultiPoly.from_json(data["fixed"]),
                    tuple((int(t["param"]), MultiPoly.from_json(t["poly"]))
                          for t in data.get("terms", [])))
@@ -280,6 +281,8 @@ class FoldTemplate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FoldTemplate":
+        require_fields(data, "template", "n", "k", "facet_assignment", "partition",
+                       "l", "q", "m", "n_params", "param_names")
         return cls(
             int(data["n"]), int(data["k"]), data.get("name", "custom"),
             tuple(tuple(t) for t in data["facet_assignment"]),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import positivity, simplex
 from .polynomial import (EXACT, FLOAT, MultiPoly, derivative_terms,
-                         eval_terms, gradedlex_key)
+                         eval_terms, gradedlex_key, require_fields)
 
 APPLY_TOL = 1e-9
 
@@ -121,6 +121,7 @@ class SimplexMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplexMap":
+        require_fields(data, "map", "n", "k", "P")
         P = [MultiPoly.from_json(p) for p in data["P"]]
         # A component with no terms carries no scalar mode of its own in
         # JSON; it takes the mode of the components that have terms.

@@ -41,6 +41,14 @@ def gradedlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
+def require_fields(data: dict, kind: str, *fields: str) -> None:
+    """ValueError naming every one of `fields` that the JSON object lacks."""
+    missing = [f for f in fields if f not in data]
+    if missing:
+        raise ValueError(f"{kind} JSON lacks required field(s) "
+                         + ", ".join(map(repr, missing)))
+
+
 class MultiPoly:
     """Immutable sparse polynomial in ``num_vars`` variables."""
 
@@ -294,6 +302,7 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "MultiPoly":
+        require_fields(data, "polynomial", "num_vars")
         nv = int(data["num_vars"])
         raw = data.get("terms", [])
         modes = {isinstance(t["coef"], str) for t in raw}

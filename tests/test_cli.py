@@ -329,6 +329,26 @@ class TestBadArguments:
         assert stdout == "" and message in stderr and stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, drop, message", [
+        (["verify-fold", "--map", "in.json", "--out", "out/v.json"], ("k", "P"),
+         "verify-fold: map JSON lacks required field(s) 'k', 'P'"),
+        (["solve-fold", "--template", "in.json", "--out", "out/sol.json"],
+         ("facet_assignment",),
+         "solve-fold: template JSON lacks required field(s) 'facet_assignment'"),
+    ])
+    def test_json_missing_field(self, argv, drop, message, tmp_path, monkeypatch,
+                                capsys):
+        from simplexfold import folding
+        data = (folding.catalog("tri:f2") if argv[0] == "verify-fold"
+                else folding.BUILTIN_TEMPLATES["interval:2"]()).to_json()
+        for key in drop:
+            del data[key]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(data))
+        assert run([*argv, "--seed", "0"]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
 
 def test_manifest_hashes_outputs(tmp_path):
     out = tmp_path / "t"

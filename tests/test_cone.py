@@ -178,6 +178,15 @@ class TestEnumerateRays:
         assert hashlib.sha256(rows.encode()).hexdigest() == (
             "57fdfae1eb1c3ed58ead58f704d485bd0e31c87023108f61cbf5bb9300ef6054")
 
+    def test_5987_rays_pinned_hash(self):
+        # the cone workload's unscaled build; digest as pinned in perfbench
+        rep = enumerate_rays(build_inequalities(2, 3, 4))
+        rows = json.dumps([list(r) for r in rep.rays], separators=(",", ":"))
+        assert len(rep.ineq) == 36 and len(rep.rays) == 5987
+        assert_rays_in_cone(rep)
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "78445d7de4db8ab1e8ef4d0088cc320b8fafa6fea6d6b289df9a32b4ff69ee1d")
+
     @pytest.mark.parametrize("shift,widened_at", [(60, 0), (55, 7)])
     def test_overflow_guard_python_ints(self, shift, widened_at, caplog):
         # A positive row scaling leaves the cone unchanged but pushes the
@@ -200,7 +209,20 @@ class TestEnumerateRays:
         assert record.levelno == logging.DEBUG
         assert (record.rows, record.peak_rays, record.dtype) == (21, 75, "int64")
         assert record.widened_at is None
+        assert (record.pairs, record.candidates, record.adjacent) == (3090, 181, 169)
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("nkN, counts", [
+        # plus x minus pairs examined, pairs with |t| >= dim-2, pairs kept
+        ((2, 2, 5), (40_204, 696, 621)),
+        ((2, 3, 4), (10_829_012, 53_444, 11_777)),
+        ((2, 2, 8), (611_081, 2_722, 2_436)),
+    ])
+    def test_debug_record_pair_counters(self, nkN, counts, caplog):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
+            enumerate_rays(build_inequalities(*nkN))
+        record, = caplog.records
+        assert (record.pairs, record.candidates, record.adjacent) == counts
 
     def test_all_rays_extreme(self):
         rep = enumerate_rays(build_inequalities(2, 2, 2))
@@ -228,6 +250,125 @@ class TestEnumerateRays:
             w = rng.random(len(rep.rays))
             p = rep.poly_from_vector(w @ rays)
             assert p.eval_many(pts).min() >= -1e-9
+
+
+def brute_force_adjacent(Z, plus, minus, D):
+    """Oracle for `cone._adjacent_pairs`: the adjacency rule pair by pair."""
+    zeros = [{j for j, z in enumerate(row) if z} for row in Z.tolist()]
+    ps, ms, candidates = [], [], 0
+    for p in plus.tolist():
+        for m in minus.tolist():
+            t = zeros[p] & zeros[m]
+            if len(t) < D - 2:
+                continue
+            candidates += 1
+            if sum(t <= z for z in zeros) == 2:
+                ps.append(p)
+                ms.append(m)
+    return ps, ms, candidates
+
+
+class TestAdjacentPairs:
+    @staticmethod
+    def random_case(rng, rays, rows, density):
+        Z = rng.random((rays, rows)) < density
+        # a quarter of the rays also vanish wherever another ray does, so
+        # that a third ray can contain a pair's common zero set
+        sup = rng.permutation(rays)[:rays // 4]
+        Z[sup] |= Z[rng.integers(0, rays, size=len(sup))]
+        perm = rng.permutation(rays)
+        n_plus = rng.integers(0, rays - 1)
+        n_minus = rng.integers(1, rays - n_plus + 1)
+        plus = np.sort(perm[:n_plus])
+        minus = np.sort(perm[n_plus:n_plus + n_minus])
+        return Z, plus, minus
+
+    @staticmethod
+    def assert_matches_oracle(Z, plus, minus, D):
+        p, m, candidates = cone._adjacent_pairs(Z, plus, minus, D)
+        ps, ms, want = brute_force_adjacent(Z, plus, minus, D)
+        assert (p.tolist(), m.tolist(), candidates) == (ps, ms, want)
+        return len(ps), want
+
+    @pytest.mark.parametrize("rays, rows, density, D", [
+        (40, 20, 0.5, 8),
+        (40, 64, 0.6, 26),       # exactly one 64-bit word
+        (30, 65, 0.6, 26),       # one bit into a second word
+        (30, 130, 0.7, 66),
+        (20, 12, 0.15, 2),       # most common zero sets empty
+        (25, 6, 0.3, 1),
+    ])
+    def test_matches_brute_force(self, rays, rows, density, D):
+        rng = np.random.default_rng(rays * 1000 + rows)
+        kept = candidates = 0
+        for _ in range(20):
+            a, b = self.assert_matches_oracle(
+                *self.random_case(rng, rays, rows, density), D)
+            kept += a
+            candidates += b
+        # the cases exercise both outcomes of the cover test
+        assert 0 < kept < candidates
+
+    def test_more_than_255_common_zeros(self):
+        # |t| > 255 wraps a uint8 popcount sum: with 300 rows at density
+        # 0.95, pairs share 265 to 279 zeros, on both sides of the
+        # threshold 272; ray 12 holds every zero set of ray 0
+        rng = np.random.default_rng(300)
+        Z = rng.random((13, 300)) < 0.95
+        Z[12] |= Z[0]
+        plus, minus = np.arange(0, 6), np.arange(6, 12)
+        common = (Z[plus, None] & Z[None, minus]).sum(axis=2)
+        assert common.min() < 272 < common.max()
+        kept, candidates = self.assert_matches_oracle(Z, plus, minus, 274)
+        assert 0 < kept < candidates
+
+    def test_more_than_255_rays_hold_t(self):
+        # rays 0 and 1 share the zero set {0} and 256 more rays vanish on
+        # row 0, so 258 rays contain t: a uint8 count would wrap to 2
+        Z = np.zeros((258, 3), dtype=bool)
+        Z[:, 0] = True
+        Z[0, 1] = Z[1, 2] = True
+        p, m, candidates = cone._adjacent_pairs(Z, np.array([0]), np.array([1]), 3)
+        assert (p.tolist(), m.tolist(), candidates) == ([], [], 1)
+
+    @pytest.mark.parametrize("rays, adjacent", [(2, [0]), (3, [])])
+    def test_empty_common_zero_set(self, rays, adjacent):
+        # an empty t lies in every ray, so it is adjacent only when the
+        # pair itself is all there is
+        Z = np.zeros((rays, 3), dtype=bool)
+        Z[0, 0] = Z[1, 1] = True
+        p, m, candidates = cone._adjacent_pairs(Z, np.array([0]), np.array([1]), 2)
+        assert (p.tolist(), m.tolist(), candidates) == (adjacent, [1] * len(adjacent), 1)
+
+    def test_no_plus_rays(self):
+        Z = np.ones((3, 4), dtype=bool)
+        p, m, candidates = cone._adjacent_pairs(Z, np.array([], dtype=np.intp),
+                                                np.array([0, 1]), 3)
+        assert (p.tolist(), m.tolist(), candidates) == ([], [], 0)
+
+    @pytest.mark.parametrize("nkN, digest", [
+        ((1, 3, 4), "c87d10018b76961c53e0f3607335c7eaad6770ad55c9f399ca26485aafdf4058"),
+        ((2, 2, 2), "b1c4f96c1406da35195b412429261739003d401de60a242ab4a9d2b38601c1c1"),
+        ((2, 2, 5), "3128ea3386bc72aa56635a9d8578b8fa04fe6a02433feb3285afc03026920d0c"),
+        ((2, 3, 4), "7396d0f22a18b1244d6e8a1bc29c744662ad9efa89f8f15a7200b82d2ecd05ac"),
+        ((2, 2, 8), "0f82ea762731daf86aaa3690aa9df84d0a7081f0959964ee27e9a27d35772a4a"),
+        ((3, 2, 2), "ae7e4fc78fcab4a69a0b624d46a696ca13457c5bd711899926e665802d7de636"),
+        ((1, 2, 300), "d983c58810dd92497d68a0775bf45e9cddf56f1adb3bd4a3e7cc0ed6b8369004"),
+    ])
+    def test_pair_sequence_pinned(self, nkN, digest, monkeypatch):
+        # sha256 over every call's concatenated p and m (little-endian
+        # int64), as the float32 matrix-product version produced them
+        h = hashlib.sha256()
+        kernel = cone._adjacent_pairs
+
+        def recorded(*args):
+            p, m, candidates = kernel(*args)
+            h.update(np.concatenate([p, m]).astype("<i8").tobytes())
+            return p, m, candidates
+
+        monkeypatch.setattr(cone, "_adjacent_pairs", recorded)
+        enumerate_rays(build_inequalities(*nkN))
+        assert h.hexdigest() == digest
 
 
 class TestScaleGenerators:
@@ -289,3 +430,10 @@ def test_json_round_trip(tmp_path):
     assert back.ineq == rep.ineq
     assert back.rays == rep.rays
     assert np.allclose(back.scaled_vectors, rep.scaled_vectors)
+
+
+def test_json_missing_field_named():
+    data = build_inequalities(1, 2, 1).to_json()
+    del data["ineq"], data["N"]
+    with pytest.raises(ValueError, match="cone JSON lacks required field.*'N', 'ineq'"):
+        ConeRep.from_json(data)

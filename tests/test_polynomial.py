@@ -185,6 +185,11 @@ class TestJson:
                                  "terms": [{"exp": [1], "coef": "1/2"},
                                            {"exp": [0], "coef": 0.5}]})
 
+    def test_missing_field_named(self):
+        with pytest.raises(ValueError,
+                           match="polynomial JSON lacks required field.*'num_vars'"):
+            MultiPoly.from_json({"terms": []})
+
 
 def test_mixed_arithmetic_rejected():
     with pytest.raises(TypeError):
