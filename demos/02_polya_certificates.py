@@ -30,7 +30,7 @@ for label, p, k in [
 
 print("\n-- one-sided non-negativity ------------------------------------------")
 p = 4 * x1 * (1 - x1)
-v = nonneg_on_simplex(p, mode="sampled")
-print(f"  4x(1-x) sampled: ok={v.ok}, min over samples = {v.min_value:.2e}")
-v = nonneg_on_simplex(1 + x + y, mode="certified", tol=1e-3)
-print(f"  1+x+y certified ladder: ok={v.ok} ({v.detail})")
+v = nonneg_on_simplex(p)
+print(f"  4x(1-x) (quadric): ok={v.ok}, exact minimum = {v.min_value:.2e}")
+v = nonneg_on_simplex(1 + x * y * (1 - x - y), mode="certified", tol=1e-3)
+print(f"  1+xy(1-x-y) certified ladder: ok={v.ok} ({v.detail})")

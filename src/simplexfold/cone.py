@@ -183,6 +183,7 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
     for the cover test only the rays that vanish on t's rarest row, taken
     in blocks so that peak memory does not grow with the ray count.
 
+    The rows are divided by their gcds, which changes no slack's sign.
     Arithmetic is int64 while a bound on every entry, checked with Python
     ints before each combination step and each slack product, stays below
     2**63; otherwise the arrays switch to Python ints (dtype=object) and
@@ -191,7 +192,7 @@ def enumerate_rays(cone: ConeRep) -> ConeRep:
     A = cone.ineq
     D = cone.dim
     idx, init = _initial_simplicial(A, D)
-    A = np.array(A, dtype=object)
+    A = _primitive_rows(np.array(A, dtype=object))
     R = np.array(init, dtype=object)
     widened_at = 0       # rows processed when the arrays became Python ints
     if D * _absmax(A) * _absmax(R) < _INT64_LIMIT:
@@ -337,8 +338,8 @@ def scale_generators(cone: ConeRep) -> ConeRep:
                 "numerical failure for a nonzero non-negative generator")
         dim = cone.n - len(simplex.face_of(arg))
         face_dims[dim] = face_dims.get(dim, 0) + 1
-        scaled.append(p / val)
         vectors.append([float(c) / val for c in ray])
+        scaled.append(cone.poly_from_vector(vectors[-1]))
     cone.scaled_rays = scaled
     cone.scaled_vectors = np.array(vectors)
     face_dims = dict(sorted(face_dims.items()))

@@ -794,8 +794,8 @@ def verify_factorization(f: maps.SimplexMap,
     """Check a claimed P_i = l_i q_i^2 m_i factorization of a fold.
 
     With explicit factors: exact reassembly, the boundary product identity
-    prod l_i = (1 - sum x) prod x_i, sampled non-negativity of each m_i and
-    the degree budget.  Without factors the l_i are inferred from facet
+    prod l_i = (1 - sum x) prod x_i, non-negativity of each m_i and the
+    degree budget.  Without factors the l_i are inferred from facet
     divisibility and only the divisibility and product checks run.
     """
     checks: dict[str, tuple[bool, str]] = {}
@@ -839,7 +839,7 @@ def verify_factorization(f: maps.SimplexMap,
     checks["l_product"] = (prod == boundary, "product of facet factors vs boundary monomial")
 
     m_ok = all(positivity.nonneg_on_simplex(mi.to_float()).ok for mi in factors.m)
-    checks["m_nonneg"] = (m_ok, "sampled non-negativity of cofactors")
+    checks["m_nonneg"] = (m_ok, "non-negativity of cofactors on the simplex")
 
     budget = all(factors.l[i].degree() + 2 * factors.q[i].degree()
                  + factors.m[i].degree() <= f.k for i in range(n + 1))

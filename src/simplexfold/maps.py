@@ -265,7 +265,7 @@ class MembershipReport:
 
 
 def membership_check(f: SimplexMap) -> MembershipReport:
-    """Sampled non-negativity of every P_i and of 1 - sum(P_i) on the simplex."""
+    """Non-negativity of every P_i and 1 - sum(P_i) on the simplex; exact for k <= 2."""
     verdicts = [positivity.nonneg_on_simplex(p) for p in f.components_full()]
     return MembershipReport(all(v.ok for v in verdicts), verdicts)
 

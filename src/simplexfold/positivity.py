@@ -110,14 +110,27 @@ def polya_certify(p: MultiPoly, k: int | None = None,
 
 def nonneg_on_simplex(p: MultiPoly, mode: str = "sampled",
                       tol: float = 1e-9, N_max: int = DEFAULT_N_MAX) -> NonnegVerdict:
-    """One-sided non-negativity check.
+    """One-sided non-negativity check: p >= -tol on the simplex.
 
+    Degree <= 2, in either mode: p's exact minimum, the least of its values
+    at `simplex.quadric_candidates`' points, >= -tol.  Higher degree:
     sampled: min over ~10^5 deterministic quasi-uniform points >= -tol.
     certified: certify p + eps down a ladder eps = 1, 1/10, ... <= tol;
     true only if the smallest eps certifies (guaranteeing p >= -eps on the
     simplex).  Polynomials vanishing on the boundary typically exhaust
     N_max here; use sampled mode for those.
     """
+    if mode not in ("sampled", "certified"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "certified" and p.scalar_mode != EXACT:
+        raise TypeError("certified mode requires an exact polynomial")
+    if p.degree() <= 2:
+        points, values = simplex.quadric_candidates(p)
+        i = min(range(len(values)), key=values.__getitem__)
+        ok = values[i] >= -tol
+        return NonnegVerdict(ok, mode, min_value=float(values[i]),
+                             witness=None if ok else tuple(points[i]),
+                             detail="exact quadric minimum")
     if mode == "sampled":
         pts = _prescan_points(p.num_vars, 100_000)
         vals = p.eval_many(pts)
@@ -125,13 +138,8 @@ def nonneg_on_simplex(p: MultiPoly, mode: str = "sampled",
         ok = bool(vals[i] >= -tol)
         return NonnegVerdict(ok, mode, min_value=float(vals[i]),
                              witness=None if ok else tuple(pts[i]))
-    if mode != "certified":
-        raise ValueError(f"unknown mode {mode!r}")
-    if p.scalar_mode != EXACT:
-        raise TypeError("certified mode requires an exact polynomial")
     k = p.degree()
     eps = Fraction(1)
-    cert = None
     while True:
         cert = polya_certify(p + MultiPoly.constant(p.num_vars, eps), k=k, N_max=N_max)
         if cert.verdict == NEGATIVE:

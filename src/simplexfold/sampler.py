@@ -8,9 +8,10 @@ draws toward the apex.  With alpha = 1/1000 draws are nearly one-hot, so a
 typical sample sits close to a single scaled generator.
 
 A random interior map takes n such polynomials, bounds their sum by its
-simplex maximum S_max and rescales by t* ~ U[0, 1/S_max].  A deformation of
-a reference map f* is the convex combination t r + (1-t) f* with
-t <= epsilon / ||f* - r||, which caps the L2 distance at epsilon.
+simplex maximum S_max and rescales by t* ~ U[0, 1/S_max]; that makes it a
+member by construction, so it is drawn once.  A deformation of a reference
+map f* is the convex combination t r + (1-t) f* with t <= epsilon /
+||f* - r||, which caps the L2 distance at epsilon.
 
 Reproducibility: all draws run through numpy's counter-based Philox
 generator; gamma variates use numpy's standard_gamma (Marsaglia-Tsang with
@@ -28,10 +29,6 @@ from . import maps, simplex
 from .cone import ConeRep
 from .maps import SimplexMap
 from .polynomial import FLOAT, MultiPoly
-
-# draws per random interior map, and interior maps per deformation, before
-# the sampler gives up
-MAX_RETRIES = 10
 
 
 def make_rng(*key) -> np.random.Generator:
@@ -93,27 +90,21 @@ def random_interior_map(cfg: SamplerConfig, rng: np.random.Generator) -> Simplex
     S_max is the simplex maximum of the component sum.  For the quadrics
     of a k = 2 cone `simplex.max_on_simplex` evaluates it at the exact
     maximiser; for higher degree it is a Bernstein upper bound, so 1/S_max
-    never overshoots.  Membership is still re-checked by sampling and the
-    draw retried when the check fails.
+    never overshoots.  All-zero draws give the zero map.  One
+    `maps.membership_check` (exact for k = 2) confirms the map; a failure
+    raises RuntimeError.
     """
     n = cfg.cone.n
-    for _ in range(MAX_RETRIES):
-        polys = [random_positive_poly(cfg, rng) for _ in range(n)]
-        total = polys[0]
-        for p in polys[1:]:
-            total = total + p
-        if total.is_zero():
-            continue
-        s_max, _ = simplex.max_on_simplex(total)
-        if s_max <= 0:
-            continue
-        t_star = rng.uniform(0.0, 1.0 / s_max)
-        f = SimplexMap(n, cfg.cone.k, [p * t_star for p in polys],
-                       label=f"sampler:seed={cfg.master_seed}")
-        if maps.membership_check(f).ok:
-            return f
-    raise RuntimeError(f"no member map after {MAX_RETRIES} draws "
-                       "(S_max underestimated repeatedly)")
+    polys = [random_positive_poly(cfg, rng) for _ in range(n)]
+    s_max, _ = simplex.max_on_simplex(sum(polys[1:], polys[0]))
+    t_star = rng.uniform(0.0, 1.0 / s_max) if s_max > 0 else 0.0
+    f = SimplexMap(n, cfg.cone.k, [p * t_star for p in polys],
+                   label=f"sampler:seed={cfg.master_seed}")
+    report = maps.membership_check(f)
+    if not report.ok:
+        raise RuntimeError("drawn map is not a simplex map; negative "
+                           f"(component, point): {report.witnesses()}")
+    return f
 
 
 def deform(f_star: SimplexMap, cfg: SamplerConfig,
@@ -124,14 +115,9 @@ def deform(f_star: SimplexMap, cfg: SamplerConfig,
     t ~ U(0, min(1, epsilon / ||f_star - r||)]; by linearity
     ||f_star - g|| = t ||f_star - r|| <= epsilon.
     """
-    for _ in range(MAX_RETRIES):
-        r = random_interior_map(cfg, rng)
-        dist = simplex.l2_distance(f_star, r)
-        if dist > 0:
-            break
-    else:
-        raise RuntimeError("random interior map kept coinciding with f_star")
-    cap = min(1.0, cfg.epsilon / dist)
+    r = random_interior_map(cfg, rng)
+    dist = simplex.l2_distance(f_star, r)
+    cap = 1.0 if dist <= cfg.epsilon else cfg.epsilon / dist
     t = (1.0 - rng.random()) * cap  # in (0, cap]
     g = maps.convex_combine(r.to_float(), f_star.to_float(), t)
     return SimplexMap(g.n, g.k, g.P, label=f"deform:t={t!r}:{f_star.label}")

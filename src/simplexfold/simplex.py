@@ -164,22 +164,23 @@ _MAX_CELLS = 1 << 14
 def max_on_simplex(p: MultiPoly) -> tuple[float, np.ndarray]:
     """Global maximum of p over the simplex as (value, point).
 
-    Degree <= 2 is exact by enumeration (`_quadric_candidates`): the
+    Degree <= 2 is exact by enumeration (`quadric_candidates`): the
     maximum of a quadric sits at a vertex or at the critical point of its
     restriction to one face, and every such point is found exactly, in
     integers, by `exact.bareiss`.  Higher degree returns an upper bound
     from Bernstein subdivision (`_max_bernstein`) and the best point seen.
     """
     if p.degree() <= 2:
-        cands = _quadric_candidates(p)
+        cands, _ = quadric_candidates(p)
         vals = p.eval_many(cands)
         i = int(vals.argmax())
         return float(vals[i]), cands[i]
     return _max_bernstein(p)
 
 
-def _quadric_candidates(p: MultiPoly) -> np.ndarray:
-    """Every point where a quadric p can take its simplex maximum.
+def quadric_candidates(p: MultiPoly) -> tuple[np.ndarray, list[Fraction]]:
+    """Every point where a quadric p can take its simplex maximum or minimum,
+    with p's exact value there.
 
     In barycentric coordinates l = (x, 1 - sum(x)) p is l^T Q l with
     sum(l) = 1, and on the face spanned by the vertex set S a critical
@@ -190,7 +191,8 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
     d l_i * d > 0, that is l_S > 0; vertices always qualify.  A singular
     system is skipped: a quadric is constant on its critical set, and that
     set, where it meets the face, also meets the face's boundary, which
-    the smaller faces cover.
+    the smaller faces cover.  At a critical point 2 Q_SS l_S = mu 1, so
+    p = mu / 2 exactly; only the points are rounded to floats.
     """
     n = p.num_vars
     m = n + 1
@@ -209,7 +211,7 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
             for j in seconds:
                 M[i][j] += c
                 M[j][i] += c
-    cands = []
+    cands, values = [], []
     for mask in range(1, 1 << m):
         S = [i for i in range(m) if mask >> i & 1]
         rows = [[M[i][j] for j in S] + [-1, 0] for i in S]
@@ -223,7 +225,8 @@ def _quadric_candidates(p: MultiPoly) -> np.ndarray:
             continue
         point = dict(zip(S, lam))
         cands.append([point[i] / d if i in point else 0.0 for i in range(n)])
-    return np.array(cands, dtype=float)
+        values.append(Fraction(red[-1][-1], 2 * s * d))
+    return np.array(cands, dtype=float), values
 
 
 @lru_cache(maxsize=32)

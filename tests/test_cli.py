@@ -159,6 +159,20 @@ class TestFig6:
                  "--window", "100", "--burn-in", "10", "--out-dir", str(out)])
         assert (a / "fig6.csv").read_bytes() == (b / "fig6.csv").read_bytes()
 
+    def test_cone_file_replays(self, tmp_path):
+        # without --cone, with --cone building the file, and with --cone
+        # loading it: the scaled generators, and so the rows, are the same
+        cone_path = tmp_path / "cone.json"
+        outs = []
+        for tag, extra in [("none", []), ("build", ["--cone", str(cone_path)]),
+                           ("load", ["--cone", str(cone_path)])]:
+            outs.append(tmp_path / tag)
+            assert run(["fig6", "--count", "4", "--seed", "1", "--N", "4",
+                        "--window", "100", "--burn-in", "10",
+                        "--out-dir", str(outs[-1]), *extra]) == 0
+        a, b, c = ((out / "fig6.csv").read_bytes() for out in outs)
+        assert a == b == c
+
     @pytest.mark.parametrize("built, message", [
         (["--N", "1"], "is (2,2,1), not (2,2,2)"),
         (["--N", "2", "--no-scale"], "has no scaled generators"),

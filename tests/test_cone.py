@@ -187,13 +187,15 @@ class TestEnumerateRays:
         assert hashlib.sha256(rows.encode()).hexdigest() == (
             "78445d7de4db8ab1e8ef4d0088cc320b8fafa6fea6d6b289df9a32b4ff69ee1d")
 
-    @pytest.mark.parametrize("shift,widened_at", [(60, 0), (55, 7)])
+    @pytest.mark.parametrize("shift,widened_at", [(60, 0), (55, 8)])
     def test_overflow_guard_python_ints(self, shift, widened_at, caplog):
-        # A positive row scaling leaves the cone unchanged but pushes the
-        # int64 bound past 2**63: at the start for 2**60, mid-run for 2**55.
+        # A redundant row (r0 << shift) + r1 leaves the cone unchanged, and
+        # no gcd reduction shrinks it, but it pushes the int64 bound past
+        # 2**63: at the start for 2**60, mid-run for 2**55.
         plain = enumerate_rays(build_inequalities(2, 2, 3)).rays
         rep = build_inequalities(2, 2, 3)
-        rep.ineq[0] = tuple(c << shift for c in rep.ineq[0])
+        r0, r1 = rep.ineq[:2]
+        rep.ineq.append(tuple((a << shift) + b for a, b in zip(r0, r1)))
         with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
             enumerate_rays(rep)
         assert rep.rays == plain
@@ -201,6 +203,19 @@ class TestEnumerateRays:
         record, = caplog.records
         assert record.dtype == "object"
         assert record.widened_at == widened_at
+
+    def test_row_gcd_keeps_int64(self, caplog):
+        # the (1,2,100) rows share factors of about 100 bits; divided by
+        # their gcd they fit int64, while the saved rows stay as built
+        rep = build_inequalities(1, 2, 100)
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
+            enumerate_rays(rep)
+        record, = caplog.records
+        assert record.dtype == "int64" and record.widened_at is None
+        assert rep.ineq == build_inequalities(1, 2, 100).ineq
+        assert len(rep.rays) == 103
+        assert_rays_in_cone(rep)
+        assert all(ray_is_extreme(rep, r) for r in rep.rays)
 
     def test_debug_record(self, caplog, capsys):
         with caplog.at_level(logging.DEBUG, logger="simplexfold.cone"):
@@ -422,14 +437,15 @@ class TestScaleGenerators:
 
 
 def test_json_round_trip(tmp_path):
-    rep = enumerate_rays(build_inequalities(1, 2, 1))
+    # (2,2,4) has generators whose c * (1/val) and c / val differ
+    rep = enumerate_rays(build_inequalities(2, 2, 4))
     scale_generators(rep)
     path = tmp_path / "cone.json"
     cone.save_json(rep, path)
     back = cone.load_json(path)
     assert back.ineq == rep.ineq
     assert back.rays == rep.rays
-    assert np.allclose(back.scaled_vectors, rep.scaled_vectors)
+    assert np.array_equal(back.scaled_vectors, rep.scaled_vectors)
 
 
 def test_json_missing_field_named():

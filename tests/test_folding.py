@@ -383,7 +383,7 @@ class TestPreimageCount:
 
 
 class TestOneSignTest:
-    """Every sampled sign test goes through positivity.nonneg_on_simplex."""
+    """Every sign test goes through positivity.nonneg_on_simplex."""
 
     @pytest.fixture
     def failing_sign_test(self, monkeypatch):

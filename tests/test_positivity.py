@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 import numpy as np
+import pytest
 
 from simplexfold import positivity, simplex
-from simplexfold.polynomial import MultiPoly, homogenize, linear_form
+from simplexfold.polynomial import FLOAT, MultiPoly, homogenize, linear_form
 
 
 def expand_oracle(p, k, N):
@@ -225,3 +226,58 @@ class TestNonneg:
         x = MultiPoly.variable(1, 0)
         v = positivity.nonneg_on_simplex(x - Fraction(1, 2), mode="certified", tol=1e-3)
         assert not v.ok
+
+
+class TestQuadricMinimum:
+    """Degree <= 2: the verdict is the exact minimum, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["sampled", "certified"])
+    @pytest.mark.parametrize("make, minimum, witness", [
+        (lambda x, y: MultiPoly.zero(2), 0, None),
+        (lambda x, y: MultiPoly.constant(2, 3), 3, None),
+        (lambda x, y: MultiPoly.constant(2, Fraction(-1, 10**10)), Fraction(-1, 10**10), None),
+        (lambda x, y: MultiPoly.constant(2, -2), -2, (1.0, 0.0)),
+        (lambda x, y: x + y, 0, None),
+        (lambda x, y: 2 * x + 3 * y - 1, -1, (0.0, 0.0)),
+        (lambda x, y: 1 - x - y - Fraction(1, 4), Fraction(-1, 4), (1.0, 0.0)),
+    ])
+    def test_zero_constant_linear(self, mode, make, minimum, witness):
+        p = make(*MultiPoly.variables(2))
+        v = positivity.nonneg_on_simplex(p, mode=mode)
+        assert v.ok == (minimum >= -1e-9)
+        assert v.min_value == float(minimum)
+        assert v.witness == witness
+
+    @pytest.mark.parametrize("mode", ["sampled", "certified"])
+    @pytest.mark.parametrize("dip", [Fraction(1, 10**7), Fraction(0)])
+    def test_dip_between_sample_points(self, mode, dip):
+        # the minimum -dip sits at (1/3, 1/3), 7.5e-4 from the nearest of the
+        # 10^5 sampled points, where p is above 4e-7; sampling accepted the
+        # 1e-7 dip, and the eps-ladder could certify neither quadric
+        x, y = MultiPoly.variables(2)
+        third = Fraction(1, 3)
+        p = (x - third) ** 2 + (y - third) ** 2 - dip
+        v = positivity.nonneg_on_simplex(p, mode=mode)
+        assert v.ok == (dip == 0)
+        assert v.min_value == -float(dip)
+        if dip:
+            assert v.witness == pytest.approx((1 / 3, 1 / 3), abs=1e-16)
+
+    def test_no_sampling(self, monkeypatch):
+        def fail(*a, **kw):
+            raise AssertionError("a quadric verdict sampled")
+        monkeypatch.setattr(positivity, "_prescan_points", fail)
+        monkeypatch.setattr(positivity, "polya_certify", fail)
+        x, y = MultiPoly.variables(2)
+        for mode in ("sampled", "certified"):
+            assert positivity.nonneg_on_simplex(x * y, mode=mode).ok
+
+    def test_certified_float_refused(self):
+        x = MultiPoly.variable(1, 0, FLOAT)
+        with pytest.raises(TypeError):
+            positivity.nonneg_on_simplex(x, mode="certified")
+
+    def test_unknown_mode_refused(self):
+        x = MultiPoly.variable(1, 0)
+        with pytest.raises(ValueError, match="unknown mode"):
+            positivity.nonneg_on_simplex(x, mode="exact")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simplexfold import cone, folding, maps, sampler, simplex
+from simplexfold.polynomial import FLOAT, MultiPoly
 from simplexfold.sampler import SamplerConfig, deform, make_rng, random_interior_map, random_positive_poly
 
 
@@ -92,6 +93,28 @@ class TestRandomInteriorMap:
         b = random_interior_map(cfg, make_rng(5)).to_json()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_negative_generator_raises_at_once(self, monkeypatch):
+        # one hand-made generator 2x - 1, negative at x = 0: the first draw
+        # fails its membership check, and nothing is drawn again
+        rep = cone.ConeRep(1, 1, 0, [(0,), (1,)], [(1, 0), (0, 1)], [(1, 0), (0, 1)])
+        rep.scaled_vectors = np.array([[-1.0, 2.0]])
+        checks = []
+        real = maps.membership_check
+        monkeypatch.setattr(maps, "membership_check",
+                            lambda f: checks.append(f) or real(f))
+        cfg = SamplerConfig(cone=rep, dirichlet_alpha=1.0, master_seed=0)
+        with pytest.raises(RuntimeError, match="not a simplex map"):
+            random_interior_map(cfg, make_rng(1))
+        assert len(checks) == 1
+
+    def test_all_zero_draw_is_the_zero_map(self, interval_cone):
+        # with two generators and alpha = 1e-3 about half the Gamma draws
+        # underflow to 0.0, so some draws weight only the zero slot
+        cfg = SamplerConfig(cone=interval_cone, master_seed=0)
+        draws = [random_interior_map(cfg, make_rng(99, i)) for i in range(60)]
+        assert any(f.P[0].is_zero() for f in draws)
+        assert all(maps.membership_check(f).ok for f in draws)
+
 
 class TestDeform:
     def test_distance_bounded(self, small_cone):
@@ -119,6 +142,16 @@ class TestDeform:
         assert t_eps <= 1
         g = maps.convex_combine(r.to_float(), f2.to_float(), t_eps)
         assert simplex.l2_distance(f2, g) == pytest.approx(eps, rel=1e-9)
+
+    def test_coinciding_maps(self, interval_cone):
+        # a zero reference map and a zero draw are at distance 0; any t
+        # then gives the reference map itself
+        cfg = SamplerConfig(cone=interval_cone, master_seed=0)
+        zero = maps.SimplexMap(1, 1, [MultiPoly.zero(1, FLOAT)])
+        R = len(interval_cone.rays)
+        rng = _ForcedRng([[0.0] * R + [1.0]], [0.5, 0.25])
+        g = deform(zero, cfg, rng)
+        assert g.P[0].is_zero() and maps.membership_check(g).ok
 
     def test_alpha_epsilon_validation(self, small_cone):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 import logging
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from simplexfold import folding, maps, simplex
-from simplexfold.polynomial import FLOAT, MultiPoly, monomials_upto
+from simplexfold import folding, maps, positivity, simplex
+from simplexfold.polynomial import EXACT, FLOAT, MultiPoly, monomials_upto
 
 
 class TestFaceOf:
@@ -129,8 +130,76 @@ class TestMaxOnSimplex:
             assert val >= samples.max() - 1e-9
 
 
+def _solve(A, b):
+    """x with A x = b by Fraction Gauss-Jordan, or None when A is singular."""
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    size = len(M)
+    for c in range(size):
+        piv = next((r for r in range(c, size) if M[r][c] != 0), None)
+        if piv is None:
+            return None
+        M[c], M[piv] = M[piv], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(size):
+            if r != c and M[r][c]:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    return [row[-1] for row in M]
+
+
+def face_critical_values(p):
+    """Reference for `quadric_candidates`: p at every vertex and at every
+    nonsingular critical point inside a face, in affine face coordinates
+    x = v_0 + sum_t u_t (v_t - v_0), exactly in Fractions."""
+    n = p.num_vars
+    verts = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    verts.append([Fraction(0)] * n)
+    out = []
+    for size in range(1, n + 2):
+        for S in combinations(range(n + 1), size):
+            v0 = verts[S[0]]
+            if size == 1:
+                out.append(p.evaluate(v0))
+                continue
+            u = MultiPoly.variables(size - 1)
+            x = [v0[i] + sum((u[t] * (verts[s][i] - v0[i])
+                              for t, s in enumerate(S[1:])), MultiPoly.zero(size - 1))
+                 for i in range(n)]
+            q = p.compose(x)
+            grads = [q.partial(t) for t in range(size - 1)]
+            zero = (0,) * (size - 1)
+            A = [[g.coefficient(tuple(int(j == t) for j in range(size - 1)))
+                  for t in range(size - 1)] for g in grads]
+            sol = _solve(A, [-g.coefficient(zero) for g in grads])
+            if sol is not None and min(sol) > 0 and sum(sol) < 1:
+                out.append(q.evaluate(sol))
+    return out
+
+
 class TestQuadricMax:
     """Degree <= 2 is solved exactly face by face; no subdivision runs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_values_match_face_reference(self, n):
+        rng = np.random.default_rng(70 + n)
+        mons = monomials_upto(n, 2)
+        for trial in range(20):
+            if trial % 2:
+                coeffs = [float(c) for c in rng.standard_normal(len(mons))]
+            else:
+                coeffs = [Fraction(int(a), int(b)) for a, b in
+                          zip(rng.integers(-9, 10, len(mons)), rng.integers(1, 8, len(mons)))]
+            p = MultiPoly(n, dict(zip(mons, coeffs)), FLOAT if trial % 2 else EXACT)
+            exact = MultiPoly(n, {m: Fraction(c) for m, c in p.terms.items()})
+            points, values = simplex.quadric_candidates(p)
+            ref = face_critical_values(exact)
+            assert sorted(values) == sorted(ref)
+            assert len(points) == len(values)
+            for pt, v in zip(points, values):
+                assert float(exact.evaluate([Fraction(c) for c in pt])) == pytest.approx(
+                    float(v), abs=1e-12)
+            for mode in ("sampled", "certified"):
+                verdict = positivity.nonneg_on_simplex(exact, mode=mode)
+                assert verdict.min_value == float(min(ref))
 
     @pytest.fixture(autouse=True)
     def no_subdivision(self, monkeypatch):
