@@ -559,8 +559,10 @@ class _CompiledTemplate:
         plans = [p._plan() for p in polys]
         self.maxdeg = [max(md[j] for md, _ in plans) for j in range(P)]
         self.terms = tuple(plan for _, plan in plans)
-        self.partials = tuple(derivative_terms(terms, j)
-                              for terms in self.terms for j in range(P))
+        partials = [derivative_terms(terms, j) for terms in self.terms for j in range(P)]
+        # the Jacobian's nonzero entries (flat index) and their term lists
+        self.nonzero = [k for k, terms in enumerate(partials) if terms]
+        self.partials = tuple(partials[k] for k in self.nonzero)
         self.degrees = np.array([max(p.degree(), 1) for p in polys])
 
     def residual_vec(self, theta) -> np.ndarray:
@@ -570,9 +572,9 @@ class _CompiledTemplate:
         return np.stack(eval_terms(theta, self.maxdeg, self.terms), axis=1)
 
     def jacobian_batch(self, theta: np.ndarray) -> np.ndarray:
-        cols = eval_terms(theta, self.maxdeg, self.partials)
-        return np.stack(cols, axis=1).reshape(
-            len(theta), len(self.terms), self.template.n_params)
+        J = np.zeros((len(theta), len(self.terms) * self.template.n_params), theta.dtype)
+        J[:, self.nonzero] = np.stack(eval_terms(theta, self.maxdeg, self.partials), axis=1)
+        return J.reshape(len(theta), len(self.terms), self.template.n_params)
 
 
 # A nonsingular endpoint has max |F| <= RESIDUAL_TOL and sigma_min/sigma_max
@@ -584,18 +586,34 @@ COND_TOL = 1e-6
 DEDUP_TOL = 1e-8
 MAX_DENOMINATOR = 10 ** 6
 
-# gamma comes from one fixed key, so solve_fold's outputs depend on no seed
+# gamma and the chart come from one fixed key, so solve_fold's outputs depend
+# on no seed.  Sizes are relative to max |z|.  A step is kept when its first
+# Newton correction is at most _TRUST, each next one at most _CONTRACTION
+# times the last, and the error left (corrections r falling by a ratio q
+# leave r q / (1 - q)) reaches _CONVERGED within _CORRECTORS corrections;
+# the next step aims at a first contraction ratio _TARGET, growing at most
+# _GROW-fold.  The endgame circle has radius _ENDGAME (_SHRINK times less on
+# each retry), _SAMPLES samples a turn and at most _MAX_TURNS turns; turns
+# close on starts within _CLOSED, and a cycle's negative Fourier modes are at
+# most _VALID times its positive ones.  |z_0| <= _AT_INFINITY is infinity.
 _GAMMA_KEY = 0x70D
-_STEP_START = 0.01
-_STEP_MAX = 0.1
+_STEP_START = 0.05
 _STEP_MIN = 1e-14
-_NEAR_ONE = 1e-6
-_INFINITE = 1e8
-# a path stopped near t = 1 whose |theta| grows like (1 - t)^-p, p > this
-_DIVERGING = 0.25
-# Newton converges only linearly to a singular root, halving the distance
-# per step: enough steps to bring a path stopped at 1 - t = _NEAR_ONE to the
-# precision floor, so that its Jacobian ratio reads singular
+_TRUST = 0.03
+_CONTRACTION = 0.25
+_CORRECTORS = 3
+_CONVERGED = 1e-8
+_TARGET = 0.02
+_GROW = 4.0
+_ENDGAME = 1e-5
+_SHRINK = 0.01
+_SAMPLES = 4
+_MAX_TURNS = 16
+_CLOSED = 1e-6
+_VALID = 1e-2
+_AT_INFINITY = 1e-8
+# Newton converges only linearly to a singular root: enough polish steps for
+# its Jacobian ratio to read singular
 _POLISH_STEPS = 16
 _MAX_STEPS = 5000
 
@@ -605,109 +623,244 @@ def _gamma(key: int) -> complex:
 
 
 def _newton_step(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched A^-1 b; NaN in the rows whose matrix is exactly singular."""
+    """Batched A^-1 b, b a stack of vectors or of matrices; NaN in the rows
+    whose matrix is exactly singular."""
+    rhs = b if b.ndim == A.ndim else b[..., None]
     try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
+        out = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan, dtype=np.result_type(A, b))
+        out = np.full(rhs.shape, np.nan, dtype=np.result_type(A, b))
         for i in range(len(A)):
             try:
-                out[i] = np.linalg.solve(A[i], b[i])
+                out[i] = np.linalg.solve(A[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-        return out
+    return out if b.ndim == A.ndim else out[..., 0]
 
 
-def _track_paths(ft: _CompiledTemplate, gamma: complex):
+def _track_paths(ft, gamma: complex):
     """Every path of the total-degree homotopy, tracked in lockstep.
 
-    H(theta, t) = (1 - t) gamma G(theta) + t F(theta), G_i = theta_i^d_i - 1
-    with d_i = ft.degrees[i], starts at t = 0 from the prod(d_i) points whose
-    coordinates are roots of unity.  Each step is an RK4 predictor on
-    dtheta/dt = -H_theta^-1 H_t and three Newton correctors at the new t; a
-    step is kept when the correctors converge, which doubles the path's step,
-    and otherwise halved.  A path ends at t = 1; near it, where a step fails
-    within _NEAR_ONE of t = 1 (a singular root, or infinity); at infinity,
-    where |theta| passes _INFINITE; or, failed, where its step collapses
-    earlier or _MAX_STEPS run out.  Finite endpoints are polished by Newton
-    on F.  Returns (endpoints, kind), kind in {"nonsingular", "singular",
-    "infinite", "failed"} per path.
+    H(z, t) = (1 - t) gamma G(z) + t F(z) runs in homogeneous coordinates
+    z = z_0 (1, theta) on the chart a . z = 1, a drawn after gamma from the
+    _GAMMA_KEY stream: F_i(z) = z_0^d_i F_i(theta), G_i(z) = z_i^d_i - z_0^d_i
+    with d_i = ft.degrees[i], so a path to infinity stays finite and ends at
+    z_0 = 0.  The prod(d_i) paths start at t = 0 where the theta_i are roots
+    of unity.  A step predicts by RK4 in w = log(1 - t), in which a path ends
+    as a power series in (1 - t)^(1/c), and corrects by Newton, each row until
+    it has converged; the first correction and the contraction ratio of the
+    second accept the step and size the next.  A path ends by a step onto
+    t = 1, or where that step fails by the Cauchy endgame: it steps in
+    log(1 - t) to the circle |1 - t| = _ENDGAME and turns about t = 1.  Paths
+    whose turns end at one another's starts form a cycle (a path left alone
+    turns until it closes on itself); its length c is their winding number,
+    and the mean of its samples their endpoint if the samples' Fourier series
+    has no negative powers of (1 - t)^(1/c) (no other branch point inside the
+    circle), else they retry on a smaller circle.  c >= 2 marks a multiple
+    root; other finite endpoints are polished by Newton on F.  As a
+    nonsingular root ends exactly one path, paths that share one crossed on
+    the way: they, and paths that failed (their step collapsed or _MAX_STEPS
+    ran out), run once more with a 30 times smaller _TRUST.  Returns
+    (endpoints, kind), kind in {"nonsingular", "singular", "infinite",
+    "failed"} per path.  ft.stats holds "steps" (lockstep iterations),
+    "evaluations" (rows passed to ft.residual_batch) and "multiplicity"
+    (paths per winding number).
     """
     d = ft.degrees
     P = len(d)
-    units = [np.exp(2j * np.pi * np.arange(di) / di) for di in d]
-    theta = np.stack(np.meshgrid(*units, indexing="ij"), axis=-1).reshape(-1, P)
-    B = len(theta)
-    t = np.zeros(B)
-    step = np.full(B, _STEP_START)
-    running = np.ones(B, dtype=bool)
-    infinite = np.zeros(B, dtype=bool)
-    stalled = np.zeros(B, dtype=bool)
+    rng = sampler.make_rng(_GAMMA_KEY)
+    rng.random()                        # the draw _gamma turns into gamma
+    chart = rng.normal(size=(P + 1, 2)) @ np.array([1, 1j])
+    units = [np.ones(1)] + [np.exp(2j * np.pi * np.arange(di) / di) for di in d]
+    z = np.stack(np.meshgrid(*units, indexing="ij"), axis=-1).reshape(-1, P + 1)
+    z /= (z @ chart)[:, None]
+    B = len(z)
+    stats = {"steps": 0, "evaluations": 0}
+    diag = np.arange(P)
 
-    def system(th, tt):
-        """H, H_theta and H_t at (th, tt)."""
+    def newton(z, t):
+        """The Newton correction of H(., t) at z and the tangent dz/dt."""
+        stats["evaluations"] += len(z)
+        z0, zi = z[:, :1], z[:, 1:]
+        w = z0 ** (d - 1)
+        th = zi / z0
         F, JF = ft.residual_batch(th), ft.jacobian_batch(th)
-        s = (1 - tt)[:, None] * gamma
-        G = th ** d - 1
-        Hx = tt[:, None, None] * JF
-        Hx[:, np.arange(P), np.arange(P)] += s * d * th ** (d - 1)
-        return s * G + tt[:, None] * F, Hx, F - gamma * G
+        s, tw = ((1 - t) * gamma)[:, None], t[:, None] * w
+        zd = zi ** (d - 1)
+        G, Fh = zd * zi - z0 * w, z0 * w * F
+        Hz = np.empty((len(z), P + 1, P + 1), dtype=complex)
+        Hz[:, :P, 1:] = tw[:, :, None] * JF
+        Hz[:, :P, 0] = tw * (d * F - (JF @ th[:, :, None])[..., 0]) - s * d * w
+        Hz[:, diag, diag + 1] += s * d * zd
+        Hz[:, P] = chart
+        rhs = np.empty((len(z), P + 1, 2), dtype=complex)
+        rhs[:, :P, 0] = s * G + t[:, None] * Fh
+        rhs[:, P, 0] = z @ chart - 1
+        rhs[:, :P, 1] = Fh - gamma * G
+        rhs[:, P, 1] = 0
+        X = _newton_step(Hz, rhs)
+        return X[..., 0], -X[..., 1]
 
-    def velocity(th, tt):
-        _, Hx, Ht = system(th, tt)
-        return -_newton_step(Hx, Ht)
-
-    for _ in range(_MAX_STEPS):
-        idx = np.flatnonzero(running)
-        if idx.size == 0:
-            break
-        th, tt = theta[idx], t[idx]
-        h = np.minimum(step[idx], 1 - tt)
-        hc = h[:, None]
+    first = z.copy()
+    trust = np.full(B, _TRUST)
+    t = np.zeros(B, dtype=complex)
+    h = np.full(B, _STEP_START)
+    done, failed, parked, alone, crawling, circling = (np.zeros(B, dtype=bool)
+                                                       for _ in range(6))
+    radius = np.full(B, _ENDGAME)
+    u = np.zeros(B)                      # position on the circle, in samples
+    start = np.zeros((2,) + z.shape, dtype=complex)    # z and v where a turn starts
+    samples = np.zeros((B, _MAX_TURNS * _SAMPLES, P + 1), dtype=complex)
+    winding = np.zeros(B, dtype=int)
+    with np.errstate(all="ignore"):
+        v = newton(z, t)[1]
+    for attempt in range(2):
         with np.errstate(all="ignore"):
-            k1 = velocity(th, tt)
-            k2 = velocity(th + hc / 2 * k1, tt + h / 2)
-            k3 = velocity(th + hc / 2 * k2, tt + h / 2)
-            k4 = velocity(th + hc * k3, tt + h)
-            x = th + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t1 = np.where(h == 1 - tt, 1.0, tt + h)
-            corr = []
-            for _c in range(3):
-                Hv, Hx, _ = system(x, t1)
-                dx = _newton_step(Hx, Hv)
-                x = x - dx
-                corr.append(np.abs(dx).max(axis=1))
-            scale = 1 + np.abs(x).max(axis=1)
-            ok = (np.isfinite(x).all(axis=1) & (corr[0] <= 1e-3 * scale)
-                  & (corr[2] <= 1e-10 * scale))
-        acc, rej = idx[ok], idx[~ok]
-        theta[acc], t[acc] = x[ok], t1[ok]
-        step[acc] = np.minimum(2 * step[acc], _STEP_MAX)
-        step[rej] /= 2
-        infinite[acc] = np.abs(x[ok]).max(axis=1) > _INFINITE
-        stalled[rej[(step[rej] < _STEP_MIN) | (1 - t[rej] <= _NEAR_ONE)]] = True
-        running[idx] = ~(infinite[idx] | stalled[idx] | (t[idx] == 1.0))
+            for _ in range(_MAX_STEPS):
+                idx = np.flatnonzero(~(done | failed | parked))
+                if idx.size == 0:
+                    if not parked.any():
+                        break
+                    # no path is left to close their cycles: they turn on alone
+                    idx, alone[parked], parked[:] = np.flatnonzero(parked), True, False
+                stats["steps"] += 1
+                # h is a step in t, in log(1 - t) while crawling, or along the circle
+                circ = circling[idx]
+                crawl = crawling[idx] & ~circ
+                t0, x0, v0, hh, rr = t[idx], z[idx], v[idx], h[idx], radius[idx]
+                s0 = 1 - t0.real
+                s1 = s0 * np.exp(-hh)
+                landed = crawl & (s1 <= rr)
+                t1 = np.where(crawl, 1 - np.maximum(s1, rr), np.minimum(t0.real + hh, 1)
+                              ).astype(complex)
+                u1 = np.minimum(u[idx] + hh * _SAMPLES / (2 * np.pi * rr), np.floor(u[idx]) + 1)
+                t1[circ] = 1 - rr[circ] * np.exp(2j * np.pi * u1[circ] / _SAMPLES)
+                # RK4 in w = log(1 - t), or in t for a step onto t = 1
+                inw = t1 != 1
+                tau = np.where(inw, np.log((1 - t1) / (1 - t0)), t1 - t0)[:, None]
+                tm = np.where(inw, 1 - (1 - t0) * np.exp(tau[:, 0] / 2), (t0 + t1) / 2)
+                dw0, dwm, dw1 = (np.where(inw, tt - 1, 1)[:, None] for tt in (t0, tm, t1))
+                k1 = dw0 * v0
+                k2 = dwm * newton(x0 + tau / 2 * k1, tm)[1]
+                k3 = dwm * newton(x0 + tau / 2 * k2, tm)[1]
+                k4 = dw1 * newton(x0 + tau * k3, t1)[1]
+                x = x0 + tau / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                v1 = np.empty_like(x)
+                corr = np.full((len(idx), _CORRECTORS), np.inf)
+                active = np.ones(len(idx), dtype=bool)
+                conv = np.zeros(len(idx), dtype=bool)
+                for k in range(_CORRECTORS):
+                    a = np.flatnonzero(active)
+                    if a.size == 0:
+                        break
+                    dx, v1[a] = newton(x[a], t1[a])
+                    x[a] -= dx
+                    r = corr[a, k] = np.abs(dx).max(axis=1) / np.abs(x[a]).max(axis=1)
+                    q = r / corr[a, k - 1] if k else 0
+                    bound = _CONTRACTION * corr[a, k - 1] if k else trust[idx[a]]
+                    ok = np.isfinite(r) & (r <= bound)
+                    conv[a] = ok & (r * np.maximum(q / (1 - q), k == 0) <= _CONVERGED)
+                    active[a] = ok & ~conv[a]
+                theta = np.where(np.isfinite(corr[:, 1]), corr[:, 1] / corr[:, 0], 0)
+                grow = np.minimum(_GROW, (_TARGET / theta) ** 0.2)
+                step = np.where(crawl, np.log(s0 / (1 - t1.real)), np.abs(t1 - t0))
+                grown = np.where(grow < 1, grow * step, np.maximum(hh, grow * step))
+                h[idx] = np.where(conv, grown, step / 2)
+                failed[idx] = h[idx] < _STEP_MIN
+                # a failed step onto t = 1 starts the endgame: steps in log(1 - t)
+                miss = idx[~inw & ~conv]
+                crawling[miss], h[miss] = True, np.log(2)
+                acc = idx[conv]
+                z[acc], t[acc], v[acc] = x[conv], t1[conv], v1[conv]
+                done[acc] = t[acc] == 1
+                turning = idx[conv & landed]
+                circling[turning], u[turning] = True, 0
+                start[0, turning], start[1, turning] = z[turning], v[turning]
+                samples[turning, 0] = z[turning]
+                on = acc[circ[conv]]
+                u[on] = u1[conv & circ]
+                on = on[u[on] % 1 == 0]
+                store = on[u[on] < _MAX_TURNS * _SAMPLES]
+                samples[store, u[store].astype(int)] = z[store]
+                turn = on[u[on] % _SAMPLES == 0]
+                if turn.size == 0:
+                    continue
+                # a path parks after its first turn; a cycle closes when each
+                # parked path's turn ends at the next one's start, or when a
+                # path's own turns close
+                closes = (np.abs(z[turn] - start[0, turn]).max(axis=1)
+                          <= _CLOSED * np.abs(z[turn]).max(axis=1))
+                parked[turn[(u[turn] == _SAMPLES) & ~alone[turn] & ~closes]] = True
+                wait = np.flatnonzero(parked)
+                near = ((np.abs(z[wait, None] - start[0, wait][None]).max(axis=2)
+                         <= _CLOSED * np.abs(z[wait]).max(axis=1)[:, None])
+                        & (radius[wait, None] == radius[wait][None]))
+                nxt = dict(zip(*np.nonzero(near)))
+                cycles = [[i] for i in turn[closes]]
+                for i in range(len(wait)):
+                    orbit = [i]
+                    while nxt.get(orbit[-1], i) not in orbit:
+                        orbit.append(nxt[orbit[-1]])
+                    if nxt.get(orbit[-1]) == i and min(orbit) == i:
+                        cycles.append(list(wait[orbit]))
+                retry = list(turn[~closes & (u[turn] >= _MAX_TURNS * _SAMPLES)])
+                for cyc in cycles:
+                    ring = (samples[cyc[0], :int(u[cyc[0]])] if len(cyc) == 1
+                            else samples[cyc, :_SAMPLES].reshape(-1, P + 1))
+                    modes = np.abs(np.fft.fft(ring, axis=0)).max(axis=1)
+                    n = len(ring)
+                    if modes[n // 2 + 1:].max(initial=0) <= _VALID * modes[1:n // 2 + 1].max():
+                        z[cyc], t[cyc], winding[cyc] = ring.mean(axis=0), 1, n // _SAMPLES
+                        done[cyc], parked[cyc] = True, False
+                    else:
+                        retry.extend(cyc)
+                retry = np.array(retry, dtype=int)
+                z[retry], v[retry], t[retry] = start[0, retry], start[1, retry], 1 - radius[retry]
+                circling[retry], parked[retry], h[retry] = False, False, np.log(2)
+                radius[retry] *= _SHRINK
 
-    # A path stopped near t = 1 heads to infinity when |theta| grows like a
-    # power of 1 - t there: estimate that power from the path's velocity.
-    end = stalled & (1 - t <= _NEAR_ONE)
-    with np.errstate(all="ignore"):
-        v = velocity(theta[end], t[end])
-    growth = (1 - t[end]) * np.abs(v).max(axis=1) / (1 + np.abs(theta[end]).max(axis=1))
-    infinite[np.flatnonzero(end)[~(growth <= _DIVERGING)]] = True
-    finite = ~infinite & ((t == 1.0) | end)
-    x = theta[finite]
-    with np.errstate(all="ignore"):
-        for _ in range(_POLISH_STEPS):
-            nxt = x - _newton_step(ft.jacobian_batch(x), ft.residual_batch(x))
-            x = np.where(np.isfinite(nxt).all(axis=1)[:, None], nxt, x)
-        resid = np.abs(ft.residual_batch(x)).max(axis=1)
-        sv = np.linalg.svd(ft.jacobian_batch(x), compute_uv=False)
-    theta[finite] = x
-    kind = np.full(B, "failed", dtype="U11")
-    kind[infinite] = "infinite"
-    kind[finite] = np.where((resid <= RESIDUAL_TOL) & (sv[:, -1] > COND_TOL * sv[:, 0]),
-                            "nonsingular", "singular")
+        # a path that wound c >= 2 times about t = 1 ends at a multiple root
+        infinite = done & (np.abs(z[:, 0]) <= _AT_INFINITY * np.abs(z).max(axis=1))
+        multiple = done & ~infinite & (winding >= 2)
+        finite = done & ~infinite & ~multiple
+        with np.errstate(all="ignore"):
+            theta = z[:, 1:] / z[:, :1]
+            x = theta[finite]
+            live = np.ones(len(x), dtype=bool)   # until Newton no longer moves the row
+            for _ in range(_POLISH_STEPS):
+                a = np.flatnonzero(live)
+                if a.size == 0:
+                    break
+                stats["evaluations"] += a.size
+                dx = _newton_step(ft.jacobian_batch(x[a]), ft.residual_batch(x[a]))
+                ok = np.isfinite(dx).all(axis=1)
+                x[a[ok]] -= dx[ok]
+                live[a] = ok & dx.any(axis=1)
+            stats["evaluations"] += len(x)
+            resid = np.abs(ft.residual_batch(x)).max(axis=1)
+            sv = np.linalg.svd(ft.jacobian_batch(x), compute_uv=False)
+        theta[finite] = x
+        kind = np.full(B, "failed", dtype="U11")
+        kind[infinite], kind[multiple] = "infinite", "singular"
+        kind[finite] = np.where((resid <= RESIDUAL_TOL) & (sv[:, -1] > COND_TOL * sv[:, 0]),
+                                "nonsingular", "singular")
+        # a nonsingular root ends exactly one path: paths that end at one
+        # crossed on the way; they and failed paths run again, trusting less
+        good = np.flatnonzero(kind == "nonsingular")
+        near = (np.abs(theta[good, None] - theta[good][None]).max(axis=2)
+                <= DEDUP_TOL * (1 + np.abs(theta[good]).max(axis=1)))
+        again = np.union1d(good[near.sum(axis=1) > 1], np.flatnonzero(kind == "failed"))
+        if attempt or again.size == 0:
+            break
+        z[again], t[again], h[again], radius[again] = first[again], 0, _STEP_START, _ENDGAME
+        for flag in (done, failed, parked, alone, crawling, circling):
+            flag[again] = False
+        u[again], winding[again], trust[again] = 0, 0, trust[again] / 30
+        with np.errstate(all="ignore"):
+            v[again] = newton(z[again], t[again])[1]
+    wound, count = np.unique(winding[winding > 0], return_counts=True)
+    stats["multiplicity"] = dict(zip(wound.tolist(), count.tolist()))
+    ft.stats = stats
     return theta, kind
 
 
@@ -717,13 +870,18 @@ def solve_fold(template: FoldTemplate) -> list[FoldSolution]:
     The coefficient system has as many equations as unknowns; a template
     that does not raises FoldSolveError before any numeric work.  A
     total-degree homotopy (Morgan 1987) follows each of the system's Bezout
-    number of paths to its end, and every nonsingular solution ends exactly
-    one path.  The real nonsingular endpoints are sign-gauge canonicalized,
-    deduplicated, rounded to rationals and re-verified exactly, then
-    filtered by sign constraints, crease structure and map membership.  One
-    DEBUG record on `simplexfold.folding` counts the paths by how they ended
-    (nonsingular, singular, infinite, failed; the four sum to `bezout`), the
-    real nonsingular endpoints and the candidates each filter dropped.
+    number of paths to its end (_track_paths: steps sized by the Newton
+    corrector, a projective chart, a Cauchy endgame at singular ends), and
+    every nonsingular solution ends exactly one path.  The real nonsingular
+    endpoints are sign-gauge canonicalized, deduplicated, rounded to
+    rationals and re-verified exactly, then filtered by sign constraints,
+    crease structure and map membership.  One DEBUG record on
+    `simplexfold.folding` counts the paths by how they ended (nonsingular,
+    singular, infinite, failed; the four sum to `bezout`), the tracker's
+    lockstep `steps`, its `evaluations` (rows passed to residual_batch,
+    polish included), the `multiplicity` histogram of the endgame's winding
+    numbers, the real nonsingular endpoints and the candidates each filter
+    dropped.
     Raises FoldSolveError when no path ends at a finite root; an empty list
     means the template has no feasible fold.
     """
@@ -766,10 +924,13 @@ def solve_fold(template: FoldTemplate) -> list[FoldSolution]:
             tuple(q.instantiate(list(params), mode) for q in template.q),
             tuple(m.instantiate(list(params), mode) for m in template.m)))
     solutions.sort(key=lambda s: tuple(map(float, s.params)))
-    log.debug("solve_fold(%s): %d paths %s, %d real, dropped %s, %d solutions",
-              template.name, len(kind), counts, len(real), dropped, len(solutions),
+    log.debug("solve_fold(%s): %d paths %s in %d steps and %d evaluations, "
+              "winding numbers %s, %d real, dropped %s, %d solutions",
+              template.name, len(kind), counts, ft.stats["steps"],
+              ft.stats["evaluations"], ft.stats["multiplicity"], len(real), dropped,
+              len(solutions),
               extra={"template": template.name, "bezout": len(kind), **counts,
-                     "real": len(real), "dropped": dropped,
+                     **ft.stats, "real": len(real), "dropped": dropped,
                      "solutions": len(solutions)})
     if counts["nonsingular"] + counts["singular"] == 0:
         raise FoldSolveError(f"no homotopy path for template {template.name!r} "

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexfold import folding, maps, positivity, simplex
+from simplexfold import dynamics, folding, maps, positivity, simplex
 from simplexfold.folding import (FoldSolveError, ParamPoly, catalog,
                                  catalog_factors, fold_order, preimage_count,
                                  residual, solve_fold, verify_factorization)
-from simplexfold.polynomial import MultiPoly, gradedlex_key, monomials_upto
+from simplexfold.polynomial import (MultiPoly, derivative_terms, eval_terms,
+                                    gradedlex_key, monomials_upto)
 
 
 class TestCatalog:
@@ -284,6 +285,28 @@ class TensorReference:
         return J
 
 
+class FixedPointSystem:
+    """F = f(x) - x over eval_terms, with the residual_batch, jacobian_batch
+    and degrees that folding._track_paths reads."""
+
+    def __init__(self, f):
+        n = f.n
+        polys = [f.P[i] - MultiPoly.variable(n, i) for i in range(n)]
+        plans = [p._plan() for p in polys]
+        self.n = n
+        self.maxdeg = [max(md[j] for md, _ in plans) for j in range(n)]
+        self.terms = tuple(plan for _, plan in plans)
+        self.partials = tuple(derivative_terms(t, j) for t in self.terms for j in range(n))
+        self.degrees = np.array([p.degree() for p in polys])
+
+    def residual_batch(self, x):
+        return np.stack(eval_terms(x, self.maxdeg, self.terms), axis=1)
+
+    def jacobian_batch(self, x):
+        cols = eval_terms(x, self.maxdeg, self.partials)
+        return np.stack(cols, axis=1).reshape(len(x), self.n, self.n)
+
+
 class TestHomotopy:
     @pytest.mark.parametrize("name", sorted(folding.BUILTIN_TEMPLATES))
     def test_tables_match_tensor_reference(self, name):
@@ -318,6 +341,51 @@ class TestHomotopy:
                 + record.failed) == bezout
         assert record.failed == 0
         assert record.real == real
+        # every path is evaluated at its start, and every lockstep step
+        # evaluates at least one row; a path that wound c >= 2 times about
+        # t = 1 ends at a multiple root, so it is not nonsingular
+        assert 0 < record.steps <= folding._MAX_STEPS
+        assert record.evaluations >= bezout + record.steps
+        wound = record.multiplicity
+        assert all(isinstance(c, int) and c >= 1 and n > 0 for c, n in wound.items())
+        assert sum(wound.values()) <= bezout
+        assert sum(n for c, n in wound.items() if c >= 2) <= (record.singular
+                                                               + record.infinite)
+
+    # bounds: a third of the rows per path that a tracker with an RK4
+    # predictor, three correctors a step and no endgame passed to
+    # residual_batch
+    @pytest.mark.parametrize("name, before", [
+        ("interval:2", 481), ("interval:3", 410), ("interval:4", 510),
+        ("interval:5", 588), ("interval:6", 653), ("twofold2d", 559)])
+    def test_evaluations_per_path(self, name, before, caplog):
+        with caplog.at_level(logging.DEBUG, logger="simplexfold.folding"):
+            solve_fold(folding.BUILTIN_TEMPLATES[name]())
+        record, = caplog.records
+        assert record.evaluations / record.bezout <= before / 3
+
+    def test_ninefold_fixed_points(self):
+        f = catalog("tri:f9")
+        system = FixedPointSystem(f)
+        ends, kind = folding._track_paths(system, folding._gamma(folding._GAMMA_KEY))
+        assert len(kind) == 81 and not (kind == "failed").any()
+        good = ends[kind == "nonsingular"]
+        real = good[np.abs(good.imag).max(axis=1) <= 1e-8].real
+        inside = real[(real.min(axis=1) >= -1e-9) & (real.sum(axis=1) <= 1 + 1e-9)]
+        want = np.array([p.point for p in dynamics.find_fixed_points(f).points])
+        assert len(inside) == len(want) == 14
+        assert all(np.abs(want - x).max(axis=1).min() <= 1e-8 for x in inside)
+        assert all(np.abs(inside - w).max(axis=1).min() <= 1e-8 for w in want)
+
+    def test_crossed_paths_run_again(self, monkeypatch):
+        # with this key two twofold2d paths pass within about 1e-4 near
+        # t = 0.822, and the first pass carries one onto the other's track
+        monkeypatch.setattr(folding, "_GAMMA_KEY", 4)
+        ft = folding._CompiledTemplate(folding.two_simplex_twofold_template())
+        ends, kind = folding._track_paths(ft, folding._gamma(4))
+        good = ends[kind == "nonsingular"]
+        assert len(good) == 2 and not (kind == "failed").any()
+        assert np.abs(good[0] - good[1]).max() > 1
 
     def test_threefold_endpoints_are_gauge_copies(self):
         ft = folding._CompiledTemplate(folding.interval_fold_template(3))
